@@ -8,14 +8,11 @@ functions and the circle transport identity (`szego`), and a seeded
 invariant suite (`verify`).  The `opmlab` console script drives experiments.
 """
 
-from . import bergman, cli, geometry, measure, opm, szego, verify
+from . import bergman, geometry, measure, opm, szego, verify
 from .bergman import (
     BergmanEvaluation,
-    GramMatrix,
     bergman_function,
     extremal_growth_polynomial,
-    gram_matrix,
-    reproducing_kernel,
     tilde_monotonicity_defect,
 )
 from .errors import (
@@ -89,7 +86,6 @@ __all__ = [
     "DomainViolation",
     "EmptySupport",
     "FaberTable",
-    "GramMatrix",
     "IllConditioned",
     "InsideDomain",
     "InvalidGeometry",
@@ -107,7 +103,6 @@ __all__ = [
     "bergman",
     "bergman_function",
     "certificate_gap",
-    "cli",
     "convergence_study",
     "discretize_boundary",
     "ellipse",
@@ -116,7 +111,6 @@ __all__ = [
     "faber_asymptotic_deviation",
     "faber_polynomials",
     "geometry",
-    "gram_matrix",
     "green_function",
     "holomorphic_moments",
     "interval",
@@ -127,7 +121,6 @@ __all__ = [
     "opm",
     "poisson_density",
     "pushforward",
-    "reproducing_kernel",
     "solve_opm",
     "support_diagnostic",
     "szego",

@@ -21,8 +21,6 @@ prediction measures on curves.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,29 +54,6 @@ def frame_for_nodes(nodes: np.ndarray) -> AffineFrame:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Moment matrix entries (j,k) = sum_i w_i x_i^j conj(x_i)^k, degree <= n.
-
-    Entries are taken in the preconditioned variable; the affine transform is
-    recorded so callers can map back.
-    """
-
-    degree: int
-    entries: np.ndarray
-    center: complex
-    scale: float
-
-
-def gram_matrix(mu: DiscreteMeasure, n: int) -> GramMatrix:
-    frame = frame_for_nodes(mu.nodes)
-    zeta = frame.coord(mu.nodes)
-    V = np.vander(zeta, n + 1, increasing=True)
-    G = V.T @ (mu.weights[:, None] * V.conj())
-    G = np.triu(G) + np.triu(G, 1).conj().T  # exact Hermitian symmetry
-    return GramMatrix(degree=n, entries=G, center=frame.center, scale=frame.scale)
-
-
-@dataclass(frozen=True)
 class _Factor:
     """QR factor of the weighted, equilibrated node basis at some degree."""
 
@@ -89,15 +64,17 @@ class _Factor:
     cond: float
 
 
-def factorize(mu: DiscreteMeasure, n: int) -> _Factor:
-    """Factor the measure at degree n; the leading blocks serve lower degrees."""
-    if mu.support_size < n + 1:
+def factor_nodes(nodes: np.ndarray, weights: np.ndarray, n: int) -> _Factor:
+    """Factor the degree-n basis on nodes carrying positive weights.
+
+    The one place where the basis matrix is built (frame, Vandermonde,
+    equilibration, QR) and its rank and conditioning are checked; the
+    leading blocks of the factor serve lower degrees.
+    """
+    if nodes.size < n + 1:
         raise RankDeficient(
-            f"degree {n} needs at least {n + 1} support points, have {mu.support_size}"
+            f"degree {n} needs at least {n + 1} support points, have {nodes.size}"
         )
-    keep = mu.weights > 0.0
-    nodes = mu.nodes[keep]
-    weights = mu.weights[keep]
     frame = frame_for_nodes(nodes)
     zeta = frame.coord(nodes)
     A = np.sqrt(weights)[:, None] * np.conj(np.vander(zeta, n + 1, increasing=True))
@@ -106,7 +83,7 @@ def factorize(mu: DiscreteMeasure, n: int) -> _Factor:
         raise RankDeficient("degenerate node configuration (zero basis column)")
     R = np.linalg.qr(A / colscale, mode="r")
     diag = np.abs(np.diagonal(R))
-    if diag.min() <= 1e-300:
+    if diag.min() <= 1e-14 * diag.max():
         raise RankDeficient("nodes do not determine the polynomial space at this degree")
     cond = float(np.linalg.cond(R))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -114,6 +91,12 @@ def factorize(mu: DiscreteMeasure, n: int) -> _Factor:
             f"condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e} at degree {n}"
         )
     return _Factor(frame=frame, colscale=colscale, R=R, degree=n, cond=cond)
+
+
+def factorize(mu: DiscreteMeasure, n: int) -> _Factor:
+    """Factor the measure at degree n over its support."""
+    keep = mu.weights > 0.0
+    return factor_nodes(mu.nodes[keep], mu.weights[keep], n)
 
 
 def _features(fac: _Factor, zs: np.ndarray, degree: int | None = None) -> np.ndarray:
@@ -150,18 +133,6 @@ class BergmanEvaluation:
     tilde_bergman: float | None = None
     tilde_christoffel: float | None = None
 
-    def to_json(self) -> str:
-        obj = {
-            "degree": self.degree,
-            "point": [repr(self.point.real), repr(self.point.imag)],
-            "bergman": repr(self.bergman),
-            "christoffel": repr(self.christoffel),
-        }
-        if self.tilde_bergman is not None:
-            obj["tilde_bergman"] = repr(self.tilde_bergman)
-            obj["tilde_christoffel"] = repr(self.tilde_christoffel)
-        return json.dumps(obj, sort_keys=True)
-
 
 def bergman_function(
     mu: DiscreteMeasure,
@@ -185,12 +156,6 @@ def bergman_function(
         tilde_bergman=tilde_b,
         tilde_christoffel=tilde_c,
     )
-
-
-def reproducing_kernel(mu: DiscreteMeasure, n: int, z: complex, u: complex) -> complex:
-    """K_n(z, u) = sum_k q_k(z) conj(q_k(u)) over an orthonormal basis q_k."""
-    fac = factorize(mu, n)
-    return complex(kernel_values(fac, np.asarray([z]), u)[0])
 
 
 def grid_gap(fac: _Factor, z0: complex, grid: np.ndarray) -> tuple[float, np.ndarray, float]:

@@ -33,6 +33,7 @@ from .errors import (
     InvalidGeometry,
     OpmlabError,
 )
+from .measure import _atomic_write_text
 
 _CONFIG_ERRORS = (
     ConfigError,
@@ -230,7 +231,19 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value
+    return _config_from_raw(raw)
 
+
+def config_from_json_obj(obj: dict) -> ExperimentConfig:
+    """Round-trip partner of ExperimentConfig.to_json_obj."""
+    unknown = set(obj) - set(_DEFAULTS)
+    if unknown:
+        raise ConfigError(f"config: unknown field {sorted(unknown)[0]!r}")
+    return _config_from_raw({**_DEFAULTS, **obj})
+
+
+def _config_from_raw(raw: dict) -> ExperimentConfig:
+    """Parse and validate a complete field dict (every key of _DEFAULTS)."""
     geometry = (
         raw["geometry"]
         if isinstance(raw["geometry"], geo.CurveGeometry)
@@ -254,35 +267,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     return cfg.validate()
 
 
-def config_from_json_obj(obj: dict) -> ExperimentConfig:
-    """Round-trip partner of ExperimentConfig.to_json_obj."""
-    unknown = set(obj) - set(_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"config: unknown field {sorted(unknown)[0]!r}")
-    merged = {**_DEFAULTS, **obj}
-    return ExperimentConfig(
-        geometry=geometry_from_obj(merged["geometry"]),
-        z0=_complex_from_obj(merged["z0"], "z0"),
-        degrees=parse_degrees(merged["degrees"]),
-        grid_size=int(merged["grid_size"]),
-        gap_tol=float(merged["gap_tol"]),
-        max_iters=int(merged["max_iters"]),
-        szego_grid=int(merged["szego_grid"]),
-        szego_trials=int(merged["szego_trials"]),
-        seed=int(merged["seed"]),
-        output_dir=str(merged["output_dir"]),
-    ).validate()
-
-
 # ---------------------------------------------------------------------------
 # output helpers
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def write_json(path: str, obj) -> None:
@@ -310,15 +296,6 @@ def _json_num(x):
         return None
     x = float(x)
     return x if np.isfinite(x) else None
-
-
-def _threads(n_tasks: int) -> int:
-    text = os.environ.get("OPMLAB_THREADS", "1")
-    try:
-        cap = int(text)
-    except ValueError:
-        raise ConfigError(f"OPMLAB_THREADS: expected an integer, got {text!r}") from None
-    return max(1, min(cap, n_tasks))
 
 
 def _require_exterior(cfg: ExperimentConfig) -> complex:
@@ -374,7 +351,7 @@ def cmd_opm(cfg: ExperimentConfig) -> int:
         ]
     )
     _atomic_write_text(os.path.join(out, "summary.txt"), summary + "\n")
-    with open(os.path.join(out, "run.log"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out, "run.log"), "a", encoding="utf-8") as fh:
         fh.write(f"opm degree={n}: {dt:.3f} s, status={sol.status}\n")
     print(summary)
     if sol.status != "converged":
@@ -392,7 +369,6 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
         cfg.grid_size,
         gap_tol=cfg.gap_tol,
         max_iters=cfg.max_iters,
-        workers=_threads(len(cfg.degrees)),
     )
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -438,7 +414,7 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
             "status": [r.status for r in rows],
         },
     )
-    with open(os.path.join(out, "run.log"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out, "run.log"), "a", encoding="utf-8") as fh:
         for r in rows:
             fh.write(f"n={r.n}: {r.seconds:.3f} s, status={r.status}\n")
     for r in rows:

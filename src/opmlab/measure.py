@@ -12,7 +12,9 @@ for smooth densities.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,12 +173,21 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _atomic_write_text(path, text: str) -> None:
+    """Write `text` to a temp file beside `path`, then rename it over `path`."""
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def save_csv(mu: DiscreteMeasure, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_node", "im_node", "weight"])
-        for x, w in zip(mu.nodes, mu.weights):
-            writer.writerow([_fmt(x.real), _fmt(x.imag), _fmt(w)])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["re_node", "im_node", "weight"])
+    for x, w in zip(mu.nodes, mu.weights):
+        writer.writerow([_fmt(x.real), _fmt(x.imag), _fmt(w)])
+    _atomic_write_text(path, buf.getvalue())
 
 
 def load_csv(path) -> DiscreteMeasure:
@@ -198,8 +209,7 @@ def to_json_obj(mu: DiscreteMeasure) -> list:
 
 
 def save_json(mu: DiscreteMeasure, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_json_obj(mu), fh)
+    _atomic_write_text(path, json.dumps(to_json_obj(mu)))
 
 
 def load_json(path) -> DiscreteMeasure:

@@ -27,21 +27,18 @@ nonincreasing across iterations.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import bergman, geometry as geo, measure as msr
-from .errors import EmptySupport, IllConditioned, NotOptimal, OpmlabError, RankDeficient
+from .errors import EmptySupport, NotOptimal, OpmlabError
 from .measure import DiscreteMeasure
 
 _WEIGHT_FLOOR = 1e-8
 _WARMUP_STEPS = 100
 _NEWTON_STEPS = 40
-_GAP_GUARD = 1e-2
-_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -67,40 +64,20 @@ class OpmSolution:
 class _Work:
     """Shared arrays for one solve.
 
-    Basis rows are orthonormalized against the uniform starting measure (one
-    QR of the equilibrated node Vandermonde), so the moment matrix at the
-    start is the identity and stays moderately conditioned along the whole
-    weight path.  This keeps certificate arithmetic accurate at degrees
-    where raw scaled monomials would have condition numbers near 1e10.
+    Basis rows are the Bergman features of the uniform starting measure, so
+    they are orthonormal at the start: the moment matrix there is the
+    identity and stays moderately conditioned along the whole weight path.
+    This keeps certificate arithmetic accurate at degrees where raw scaled
+    monomials would have condition numbers near 1e10.
     """
 
     def __init__(self, nodes: np.ndarray, z0: complex, n: int):
         self.m = nodes.size
         self.n = n
-        frame = bergman.frame_for_nodes(nodes)
-        V = np.vander(frame.coord(nodes), n + 1, increasing=True)
-        colscale = np.linalg.norm(V, axis=0) / np.sqrt(self.m)
-        if np.any(colscale == 0.0):
-            raise RankDeficient("grid cannot support the requested degree")
-        U = V / colscale
-        A = U.conj() / np.sqrt(self.m)
-        R = np.linalg.qr(A, mode="r")
-        diag = np.abs(np.diagonal(R))
-        if diag.min() <= 1e-14 * max(1.0, diag.max()):
-            raise RankDeficient(
-                f"uniform starting measure is degree-{n} rank deficient on this grid"
-            )
-        cond = np.linalg.cond(R)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise IllConditioned(
-                f"degree {n} factorization condition {cond:.3e} exceeds {_COND_LIMIT:.0e}"
-            )
-        self.U = solve_triangular(R, U.T, trans="C", lower=False, check_finite=False).T
+        fac = bergman.factor_nodes(nodes, np.full(self.m, 1.0 / self.m), n)
+        self.U = bergman._features(fac, nodes).T
         self.Uc = self.U.conj()
-        v0 = np.vander(frame.coord(np.asarray([z0])), n + 1, increasing=True)[0]
-        self.c = solve_triangular(
-            R, v0 / colscale, trans="C", lower=False, check_finite=False
-        )
+        self.c = bergman._features(fac, np.asarray([z0]))[:, 0]
 
     def moment_matrix(self, w: np.ndarray) -> np.ndarray:
         M = self.U.T @ (w[:, None] * self.Uc)
@@ -119,11 +96,6 @@ class _Work:
         L, B, y = self.core_state(M)
         scores = np.abs(self.Uc @ y) ** 2
         return L, B, y, scores
-
-    def objective_only(self, M: np.ndarray) -> float:
-        L = np.linalg.cholesky(M)
-        zc = solve_triangular(L, self.c, lower=True, check_finite=False)
-        return float(np.real(np.vdot(zc, zc)))
 
 
 def _fw_step(B: float, A: float, kappa_num: float):
@@ -218,7 +190,7 @@ def _try_mult(work: _Work, w: np.ndarray, B: float, scores: np.ndarray):
     w2 /= total
     M2 = work.moment_matrix(w2)
     try:
-        B2 = work.objective_only(M2)
+        _, B2, _ = work.core_state(M2)
     except np.linalg.LinAlgError:
         return None
     if B2 < B:
@@ -307,8 +279,11 @@ def solve_opm(
 
     Starts from uniform weights.  Returns a converged solution, or the best
     iterate flagged via `status` when the budget or the numerical floor is
-    hit.  Weights below 1e-8 are zeroed and the rest renormalized on output
-    (unless that would drop the support below n + 1 points).
+    hit.  Weights below 1e-8 are zeroed and the rest renormalized on output,
+    unless that would drop the support below n + 1 points or lift the
+    certificate gap above `gap_tol`; in the latter case the output keeps
+    whichever of the floored and unfloored weights has the smaller gap.
+    `status` is "converged" only when the reported gap is at most `gap_tol`.
     """
     nodes = np.asarray(nodes, dtype=complex).ravel()
     if nodes.size < n + 1:
@@ -318,20 +293,9 @@ def solve_opm(
 
     work = _Work(nodes, z0, n)
     m = work.m
-    w = np.full(m, 1.0 / m)
     trace_vals: list[float] | None = [] if trace else None
-    it = 0
-
-    # outer rounds re-enter the iteration when the output weight floor
-    # nudged the certificate gap back above tolerance
-    status = "numerical"
-    B = np.nan
-    gap = np.nan
-    for _ in range(4):
-        status, w, it = _iterate(work, w, gap_tol, max_iters, it, trace_vals)
-        w, B, gap = _finalize(work, w, n)
-        if status != "converged" or gap <= gap_tol or it >= max_iters:
-            break
+    status, w, it = _iterate(work, np.full(m, 1.0 / m), gap_tol, max_iters, trace_vals)
+    w, B, gap, status = _finalize(work, w, status, gap_tol)
 
     support = np.flatnonzero(w > 0.0)
     mu = DiscreteMeasure(nodes[support], w[support] / w[support].sum())
@@ -354,7 +318,6 @@ def _iterate(
     w: np.ndarray,
     gap_tol: float,
     max_iters: int,
-    it: int,
     trace_vals: list[float] | None,
 ):
     """Run certified-descent steps until converged, stalled, or out of budget.
@@ -367,9 +330,9 @@ def _iterate(
     accepted only on exact recomputed descent, so the recorded objective
     trace is nonincreasing.
 
-    `it` carries the iteration count across polish rounds so the total budget
-    is shared.  Returns (status, best-gap weights, iterations used).
+    Returns (status, best-gap weights, iterations used).
     """
+    it = 0
     best_gap = np.inf
     best_w = w.copy()
 
@@ -490,17 +453,30 @@ def _iterate(
         it += max(steps, 1)
 
 
-def _finalize(work: _Work, w: np.ndarray, n: int):
-    """Apply the weight floor and recompute objective and gap exactly."""
+def _finalize(work: _Work, w: np.ndarray, status: str, gap_tol: float):
+    """Apply the weight floor where it keeps the certificate; recompute B and gap.
+
+    The floored weights are kept when they leave at least n + 1 support nodes
+    and a gap within `gap_tol`; otherwise the lower-gap of the floored and
+    unfloored weights is returned.  A gap above `gap_tol` is never reported
+    as converged.  Returns (w, B, gap, status).
+    """
+
+    def certify(v):
+        v = v / v.sum()
+        _, B, _, scores = work.scores_state(work.moment_matrix(v))
+        return v, B, float(scores.max() / B - 1.0)
+
     floored = np.where(w < _WEIGHT_FLOOR, 0.0, w)
-    if np.count_nonzero(floored) >= n + 1:
-        w = floored / floored.sum()
+    if np.count_nonzero(floored) < work.n + 1:
+        out = certify(w)
     else:
-        w = w / w.sum()
-    M = work.moment_matrix(w)
-    _, B, _, scores = work.scores_state(M)
-    gap = float(scores.max() / B - 1.0)
-    return w, B, gap
+        out = certify(floored)
+        if out[2] > gap_tol:
+            out = min(out, certify(w), key=lambda c: c[2])
+    if status == "converged" and out[2] > gap_tol:
+        status = "stalled"
+    return (*out, status)
 
 
 def certificate_gap(mu: DiscreteMeasure, z0: complex, n: int, grid: np.ndarray) -> float:
@@ -529,8 +505,8 @@ def support_diagnostic(
     sol: OpmSolution, grid: np.ndarray, tau: float = _WEIGHT_FLOOR
 ) -> SupportReport:
     """Ratios |p_n(node)| / max_grid |p_n| over support nodes carrying weight > tau."""
-    if sol.certificate_gap > _GAP_GUARD:
-        raise NotOptimal(f"solution gap {sol.certificate_gap:.3e} exceeds {_GAP_GUARD}")
+    if sol.certificate_gap > bergman._GAP_GUARD:
+        raise NotOptimal(f"solution gap {sol.certificate_gap:.3e} exceeds {bergman._GAP_GUARD}")
     mu = sol.measure
     keep = mu.weights > tau
     if not np.any(keep):
@@ -572,7 +548,6 @@ def convergence_study(
     gap_tol: float = 1e-6,
     max_iters: int = 20000,
     k_moments: int = 8,
-    workers: int = 1,
 ) -> list[ConvergenceRow]:
     """Solve each degree on the canonical m-point grid and tabulate diagnostics.
 
@@ -611,7 +586,4 @@ def convergence_study(
             status=sol.status,
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, degrees))
     return [one(nn) for nn in degrees]

@@ -61,15 +61,6 @@ def test_gram_schmidt_oracle_agreement():
             assert fast == pytest.approx(slow, rel=1e-10)
 
 
-def test_gram_matrix_is_psd_hermitian():
-    mu = msr.balayage_point_mass(geo.ellipse(2.0, 1.0), 3.0, 64)
-    G = bergman.gram_matrix(mu, 5)
-    H = G.entries
-    assert np.allclose(H, H.conj().T)
-    eigs = np.linalg.eigvalsh(H)
-    assert eigs.min() > 0.0
-
-
 def test_rank_deficiency_detected():
     mu = msr.DiscreteMeasure(np.array([1.0, 1j]), np.array([0.5, 0.5]))
     with pytest.raises(RankDeficient):

@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import opmlab
 from opmlab import cli, geometry as geo, measure as msr
 from opmlab.errors import ConfigError
 
@@ -84,6 +88,13 @@ class TestOpmCommand:
         assert cert["status"] == "converged"
         mu = msr.load_csv(out / "measure.csv")
         assert mu.weights.sum() == pytest.approx(1.0)
+
+    def test_run_log_appends_across_runs(self, tmp_path):
+        out = tmp_path / "run"
+        for n in ("2", "3"):
+            assert run("opm", "--geometry", "circle", "--z0", "2,0", "--degrees", n, "--out", str(out)) == 0
+        lines = (out / "run.log").read_text().splitlines()
+        assert [line.split(":")[0] for line in lines] == ["opm degree=2", "opm degree=3"]
 
     def test_malformed_geometry_exits_2(self, tmp_path, capsys):
         code = run("opm", "--geometry", "ellipse:1,2", "--z0", "3,0", "--out", str(tmp_path / "x"))
@@ -226,3 +237,13 @@ def test_atomic_writes_leave_no_temp_files(tmp_path):
     run("balayage", "--geometry", "circle", "--z0", "2,0", "--out", str(out))
     leftovers = [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opmlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "opmlab.cli", "verify", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

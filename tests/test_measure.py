@@ -118,6 +118,34 @@ def test_json_roundtrip(tmp_path):
     assert np.array_equal(back.weights, mu.weights)
 
 
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    mu = msr.balayage_point_mass(geo.unit_circle(), 2.0, 37)
+    p_csv, p_json = tmp_path / "mu.csv", tmp_path / "mu.json"
+    msr.save_csv(mu, p_csv)
+    msr.save_json(mu, p_json)
+    before = p_csv.read_bytes(), p_json.read_bytes()
+
+    fmt, calls = msr._fmt, []
+
+    def fmt_failing_partway(x):
+        calls.append(x)
+        if len(calls) > 30:
+            raise OSError("disk full")
+        return fmt(x)
+
+    def to_json_failing(mu):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(msr, "_fmt", fmt_failing_partway)
+    monkeypatch.setattr(msr, "to_json_obj", to_json_failing)
+    other = msr.uniform_measure(msr.discretize_boundary(geo.unit_circle(), 50))
+    with pytest.raises(OSError):
+        msr.save_csv(other, p_csv)
+    with pytest.raises(OSError):
+        msr.save_json(other, p_json)
+    assert (p_csv.read_bytes(), p_json.read_bytes()) == before
+
+
 def test_load_csv_rejects_foreign_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("x,y,mass\r\n1.0,0.0,1.0\r\n")
