@@ -7,20 +7,17 @@ the objective is c^H M(w)^{-1} c, the gradient coordinate at node i is
 objective itself.  The certificate gap max_x |K_n(x, z0)|^2 / B_n(z0) - 1 is
 nonnegative on any feasible measure and zero exactly at a grid-optimal one.
 
-The solver is a conditional-gradient scheme built from three step types that
+The problem is a c-optimal design, and the solver uses two step types that
 share one certificate primitive (the node scores |K_n(x_i, z0)|^2):
 
-  * a pairwise exchange moving weight from the worst support node to the
-    node maximizing the score (ties break to the lowest index), with a
-    closed-form exact line search from the rank-two update of the inverse
-    moment action;
   * a multiplicative reweighting w_i -> w_i * score_i / B, which is
     self-normalizing and very effective while the iterate is smooth;
-  * a Newton polish of the weights restricted to the current support once
-    the support is small, which removes the slow endgame the exchange steps
-    exhibit when the grid optimum splits an atom across adjacent nodes.
+  * a Newton polish of the weights restricted to the heaviest support nodes
+    plus the max-score node, which enters at zero weight.  It removes the
+    slow endgame of reweighting when the grid optimum splits an atom across
+    adjacent nodes, and it is how nodes outside the support gain weight.
 
-Each candidate is accepted only on certified descent, so the objective is
+Each step is accepted only on certified descent, so the objective is
 nonincreasing across iterations.
 """
 
@@ -98,83 +95,6 @@ class _Work:
         return L, B, y, scores
 
 
-def _fw_step(B: float, A: float, kappa_num: float):
-    """Exact minimizer of the toward-vertex objective t -> c^H ((1-t)M + t a a^H)^{-1} c.
-
-    A = a^H M^{-1} a, kappa_num = |a^H M^{-1} c|^2.  Returns (t*, f(t*)) or None.
-    """
-    kappa = kappa_num / B
-    s = A - 1.0
-
-    def f(t: float) -> float:
-        den = (1.0 - t) + t * A
-        if den <= 0.0 or t >= 1.0:
-            return np.inf
-        return B / (1.0 - t) - t * kappa_num / ((1.0 - t) * den)
-
-    cands = []
-    a2 = s * (s - kappa)
-    a1 = 2.0 * s
-    a0 = 1.0 - kappa
-    if abs(a2) > 1e-300:
-        disc = s * kappa * (A - kappa)
-        if disc >= 0.0:
-            r = np.sqrt(disc)
-            cands += [(-s + r) / a2, (-s - r) / a2]
-    elif abs(a1) > 1e-300:
-        cands.append(-a0 / a1)
-    best = None
-    for t in cands:
-        if 0.0 < t < 1.0 - 1e-12:
-            ft = f(t)
-            if np.isfinite(ft) and ft < B and (best is None or ft < best[1]):
-                best = (t, ft)
-    return best
-
-
-def _pairwise_step(B, S_ss, S_vv, S_sv, k_s, k_v, gamma_max: float):
-    """Exact minimizer of the exchange objective along e_s - e_v, step in (0, gamma_max].
-
-    Uses the rank-two update of the inverse-moment action; the stationarity
-    condition reduces to a real quadratic.  Returns (gamma*, f(gamma*)) or None.
-    """
-    P = S_ss * S_vv - abs(S_sv) ** 2
-    Q = S_vv - S_ss
-    alpha = S_vv * abs(k_s) ** 2 + S_ss * abs(k_v) ** 2 - 2.0 * np.real(np.conj(k_s) * S_sv * k_v)
-    beta = abs(k_v) ** 2 - abs(k_s) ** 2
-
-    def f(g: float) -> float:
-        q = P * g * g + Q * g - 1.0
-        if q >= 0.0:  # moment matrix loses definiteness here
-            return np.inf
-        return B - g * (alpha * g + beta) / q
-
-    # definiteness persists up to the positive root of q
-    if P > 0.0:
-        g_crit = (-Q + np.sqrt(Q * Q + 4.0 * P)) / (2.0 * P)
-        hi = min(gamma_max, g_crit * (1.0 - 1e-12))
-    else:
-        hi = gamma_max
-    if hi <= 0.0:
-        return None
-    cands = [hi]
-    a2 = alpha * Q - beta * P
-    if abs(a2) > 1e-300:
-        disc = alpha * alpha + beta * a2
-        if disc >= 0.0:
-            r = np.sqrt(disc)
-            cands += [(alpha + r) / a2, (alpha - r) / a2]
-    elif abs(alpha) > 1e-300:
-        cands.append(-beta / (2.0 * alpha))
-    best = None
-    for g in cands:
-        if 0.0 < g <= hi:
-            fg = f(g)
-            if np.isfinite(fg) and fg < B and (best is None or fg < best[1]):
-                best = (g, fg)
-    return best
-
-
 def _try_mult(work: _Work, w: np.ndarray, B: float, scores: np.ndarray):
     """Multiplicative reweighting w -> w * score / B, accepted only on descent.
 
@@ -201,19 +121,23 @@ def _try_mult(work: _Work, w: np.ndarray, B: float, scores: np.ndarray):
 def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float):
     """Equality-constrained Newton on the weights of the node subset `idx`.
 
-    Exchange and reweighting steps identify the support quickly but crawl
-    when the grid optimum splits an atom across adjacent nodes (the weight
-    Hessian is then nearly singular along the split direction); solving the
-    restricted KKT system with H_ij = 2 Re(conj(k_i) S_ij k_j) removes that
-    endgame.  Nonnegativity is kept by stepping at most to the first weight
-    boundary, and steps are accepted only on strict descent.  Returns
-    (w, M, steps, improved) with M consistent with w.
+    Reweighting identifies the support quickly but crawls when the grid
+    optimum splits an atom across adjacent nodes (the weight Hessian is then
+    nearly singular along the split direction); solving the restricted KKT
+    system with H_ij = 2 Re(conj(k_i) S_ij k_j) removes that endgame.
+
+    `idx` may hold a node at zero weight (the max-score entrant).  It stays
+    in the solve while its KKT step is nonnegative and is dropped, before
+    any step is taken, when that step is negative; a node is also dropped
+    once an accepted step takes it to zero.  Every other negative component
+    bounds the step at the first weight boundary, and a step is accepted
+    only on strict descent.  The entrant changes neither M nor B until an
+    accepted step moves it, so the objective never rises.  Returns
+    (w, M, steps) with M consistent with w.
     """
     w = w.copy()
-    improved = False
     steps = 0
-    for _ in range(_NEWTON_STEPS):
-        idx = idx[w[idx] > 1e-15]
+    while steps < _NEWTON_STEPS:
         s = idx.size
         if s < 2:
             break
@@ -239,11 +163,13 @@ def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float):
         if not np.all(np.isfinite(dw)) or np.abs(dw).max() == 0.0:
             break
         neg = dw < 0.0
+        out = neg & (w[idx] <= 1e-15)
+        if np.any(out):
+            idx = idx[~out]
+            continue
         t = 1.0
         if np.any(neg):
             t = min(1.0, float(np.min(w[idx][neg] / -dw[neg])))
-        if t <= 0.0:
-            break
         accepted = False
         for _ in range(30):
             delta = t * dw
@@ -257,13 +183,13 @@ def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float):
                 w[idx] = np.clip(w[idx] + delta, 0.0, None)
                 M, L, B, y = M_try, L_try, B_try, y_try
                 accepted = True
-                improved = True
                 steps += 1
                 break
             t *= 0.5
         if not accepted:
             break
-    return w, M, steps, improved
+        idx = idx[w[idx] > 1e-15]
+    return w, M, steps
 
 
 def solve_opm(
@@ -322,12 +248,12 @@ def _iterate(
 ):
     """Run certified-descent steps until converged, stalled, or out of budget.
 
-    Two phases.  A warmup of combined reweighting and exchange steps handles
+    Two phases.  A warmup of multiplicative reweighting steps handles
     iterates whose optimum keeps broad support (it solves the smooth cases
-    outright).  It is followed by exchange-method rounds: multiplicative
-    cleanup of off-support weight, entry of the max-score node, and a
-    restricted Newton solve on the highest-weight nodes.  Every candidate is
-    accepted only on exact recomputed descent, so the recorded objective
+    outright).  It is followed by exchange rounds: a multiplicative cleanup
+    of off-support weight, then a restricted Newton solve on the heaviest
+    nodes plus the max-score node, which enters at zero weight.  Every step
+    is accepted only on exact recomputed descent, so the recorded objective
     trace is nonincreasing.
 
     Returns (status, best-gap weights, iterations used).
@@ -335,10 +261,6 @@ def _iterate(
     it = 0
     best_gap = np.inf
     best_w = w.copy()
-
-    def refresh(wv):
-        M = work.moment_matrix(wv)
-        return (M, *work.scores_state(M))
 
     def book(wv, B, scores):
         """Record trace/best and classify; returns gap or a terminal status."""
@@ -355,49 +277,19 @@ def _iterate(
             return "max_iters"
         return gap
 
+    M = work.moment_matrix(w)
     for _ in range(_WARMUP_STEPS):
         try:
-            M, L, B, y, scores = refresh(w)
+            L, B, y, scores = work.scores_state(M)
         except np.linalg.LinAlgError:
             return "numerical", best_w, it
         gap = book(w, B, scores)
         if isinstance(gap, str):
             return gap, best_w, it
-
-        s_idx = int(np.argmax(scores))
-        masked = np.where(w > 0.0, scores, np.inf)
-        v_idx = int(np.argmin(masked))
-        us = work.U[s_idx]
-        uv = work.U[v_idx]
-        Z = solve_triangular(L, np.stack([us, uv], axis=1), lower=True, check_finite=False)
-        S_ss = float(np.real(np.vdot(Z[:, 0], Z[:, 0])))
-        S_vv = float(np.real(np.vdot(Z[:, 1], Z[:, 1])))
-        S_sv = complex(np.vdot(Z[:, 0], Z[:, 1]))
-        k_s = complex(np.vdot(us, y))  # u_s^H M^{-1} c
-        k_v = complex(np.vdot(uv, y))
-
-        fw = _fw_step(B, S_ss, scores[s_idx])
-        pw = None
-        if v_idx != s_idx and w[v_idx] > 0.0:
-            pw = _pairwise_step(B, S_ss, S_vv, S_sv, k_s, k_v, w[v_idx])
         mult = _try_mult(work, w, B, scores)
-
-        f_fw = fw[1] if fw is not None else np.inf
-        f_pw = pw[1] if pw is not None else np.inf
-        f_mult = mult[2] if mult is not None else np.inf
-        if not np.isfinite(min(f_fw, f_pw, f_mult)):
-            break  # no descending warmup step; hand over to Newton rounds
-        if f_mult <= min(f_pw, f_fw):
-            w = mult[0]
-        elif f_pw <= f_fw:
-            w = w.copy()
-            w[s_idx] += pw[0]
-            w[v_idx] -= pw[0]
-            if w[v_idx] < 1e-15:
-                w[v_idx] = 0.0
-        else:
-            w = w * (1.0 - fw[0])
-            w[s_idx] += fw[0]
+        if mult is None:
+            break  # no descending reweighting; hand over to Newton rounds
+        w, M, _ = mult
         it += 1
 
     support_cap = max(8 * (work.n + 1), 64)
@@ -405,8 +297,9 @@ def _iterate(
     prev_B = np.inf
     while True:
         w = w / w.sum()
+        M = work.moment_matrix(w)
         try:
-            M, L, B, y, scores = refresh(w)
+            L, B, y, scores = work.scores_state(M)
         except np.linalg.LinAlgError:
             return "numerical", best_w, it
         gap = book(w, B, scores)
@@ -430,26 +323,11 @@ def _iterate(
             except np.linalg.LinAlgError:
                 return "numerical", best_w, it
 
-        # make sure the max-score node carries weight before Newton sees it
-        s_idx = int(np.argmax(scores))
-        if w[s_idx] <= 1e-15:
-            zs = solve_triangular(L, work.U[s_idx], lower=True, check_finite=False)
-            fw = _fw_step(B, float(np.real(np.vdot(zs, zs))), scores[s_idx])
-            if fw is not None:
-                w = w * (1.0 - fw[0])
-                w[s_idx] += fw[0]
-                it += 1
-                try:
-                    M, L, B, y, scores = refresh(w)
-                except np.linalg.LinAlgError:
-                    return "numerical", best_w, it
-                s_idx = int(np.argmax(scores))
-
         pos = np.flatnonzero(w > 1e-10)
         if pos.size > support_cap:
             pos = pos[np.argsort(w[pos])[-support_cap:]]
-        idx = np.union1d(pos, [s_idx]) if w[s_idx] > 0.0 else pos
-        w, M, steps, _ = _newton_solve(work, w, M, L, B, y, idx, gap_tol)
+        idx = np.union1d(pos, [int(np.argmax(scores))])
+        w, M, steps = _newton_solve(work, w, M, L, B, y, idx, gap_tol)
         it += max(steps, 1)
 
 

@@ -35,6 +35,17 @@ def test_objective_trace_is_nonincreasing():
     assert opm.solve_opm(grid, 3.0, 2).objective_trace is None
 
 
+@pytest.mark.parametrize("z0", [2.8554, 3.0604, 3.1055])
+def test_degree_twelve_ellipse_rows_converge(z0):
+    """Degree-12 ellipse sweep rows whose gap sits near 1e-7 still certify, with descent."""
+    grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660)
+    sol = opm.solve_opm(grid, z0, 12, gap_tol=1e-7, trace=True)
+    assert sol.status == "converged"
+    assert sol.certificate_gap <= 1e-7
+    tr = sol.objective_trace
+    assert np.all(np.diff(tr) <= 1e-12 * tr[:-1])
+
+
 def test_certificate_gap_nonnegative_for_any_feasible_measure():
     rng = np.random.default_rng(2)
     for _ in range(10):
