@@ -8,7 +8,7 @@ functions and the circle transport identity (`szego`), and a seeded
 invariant suite (`verify`).  The `opmlab` console script drives experiments.
 """
 
-from . import bergman, geometry, measure, opm, szego, verify
+from . import _blas, bergman, geometry, measure, opm, szego, verify
 from .bergman import (
     BergmanEvaluation,
     bergman_function,
@@ -74,6 +74,9 @@ from .szego import (
 )
 
 __version__ = "0.1.0"
+
+# numpy.linalg and scipy.linalg are loaded by now; see `_blas` for why.
+_blas.pin_single_thread()
 
 __all__ = [
     "BergmanEvaluation",

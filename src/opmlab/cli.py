@@ -8,7 +8,8 @@ success, 1 verification failure, 2 config error, 3 numerical failure.
 Output hygiene: every CSV/JSON artifact is written atomically
 (write-to-temp, rename) and is byte-deterministic for a fixed config and
 seed, except for the wall-time `seconds` column of the convergence table,
-which records real measurements; timings are duplicated to run.log.
+which records real measurements; timings are duplicated to run.log, whose
+lines also name the loaded BLAS libraries and their thread counts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry as geo, measure as msr, opm, szego, verify
+from . import _blas, geometry as geo, measure as msr, opm, szego, verify
 from .errors import (
     ConfigError,
     CurveRequired,
@@ -298,6 +299,13 @@ def _json_num(x):
     return x if np.isfinite(x) else None
 
 
+def _append_run_log(out: str, lines: list[str]) -> None:
+    """Append lines to run.log, each tagged with the loaded BLAS pools and their threads."""
+    blas = _blas.describe()
+    with open(os.path.join(out, "run.log"), "a", encoding="utf-8") as fh:
+        fh.writelines(f"{line}, blas={blas}\n" for line in lines)
+
+
 def _require_exterior(cfg: ExperimentConfig) -> complex:
     phi = geo.exterior_map(cfg.geometry, cfg.z0)
     if abs(phi) <= 1.0 + 1e-9:
@@ -351,8 +359,7 @@ def cmd_opm(cfg: ExperimentConfig) -> int:
         ]
     )
     _atomic_write_text(os.path.join(out, "summary.txt"), summary + "\n")
-    with open(os.path.join(out, "run.log"), "a", encoding="utf-8") as fh:
-        fh.write(f"opm degree={n}: {dt:.3f} s, status={sol.status}\n")
+    _append_run_log(out, [f"opm degree={n}: {dt:.3f} s, status={sol.status}"])
     print(summary)
     if sol.status != "converged":
         print(f"solver did not converge: status={sol.status}", file=sys.stderr)
@@ -414,9 +421,7 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
             "status": [r.status for r in rows],
         },
     )
-    with open(os.path.join(out, "run.log"), "a", encoding="utf-8") as fh:
-        for r in rows:
-            fh.write(f"n={r.n}: {r.seconds:.3f} s, status={r.status}\n")
+    _append_run_log(out, [f"n={r.n}: {r.seconds:.3f} s, status={r.status}" for r in rows])
     for r in rows:
         print(
             f"n={r.n} objective={r.objective:.6g} tilde_B={r.tilde_bergman:.8f} "

@@ -118,7 +118,7 @@ def _try_mult(work: _Work, w: np.ndarray, B: float, scores: np.ndarray):
     return None
 
 
-def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float):
+def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float, on_step):
     """Equality-constrained Newton on the weights of the node subset `idx`.
 
     Reweighting identifies the support quickly but crawls when the grid
@@ -132,8 +132,10 @@ def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float):
     once an accepted step takes it to zero.  Every other negative component
     bounds the step at the first weight boundary, and a step is accepted
     only on strict descent.  The entrant changes neither M nor B until an
-    accepted step moves it, so the objective never rises.  Returns
-    (w, M, steps) with M consistent with w.
+    accepted step moves it, so the objective never rises.  After each
+    accepted step, `on_step` gets the objective of the normalized weights,
+    B * sum(w): the KKT solve conserves mass only to rounding, and B scales
+    as 1/mass.  Returns (w, M, steps) with M consistent with w.
     """
     w = w.copy()
     steps = 0
@@ -184,6 +186,7 @@ def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float):
                 M, L, B, y = M_try, L_try, B_try, y_try
                 accepted = True
                 steps += 1
+                on_step(B * w.sum())
                 break
             t *= 0.5
         if not accepted:
@@ -253,8 +256,11 @@ def _iterate(
     outright).  It is followed by exchange rounds: a multiplicative cleanup
     of off-support weight, then a restricted Newton solve on the heaviest
     nodes plus the max-score node, which enters at zero weight.  Every step
-    is accepted only on exact recomputed descent, so the recorded objective
-    trace is nonincreasing.
+    is accepted only on exact recomputed descent.
+
+    An iteration is one accepted step of either type.  The objective trace
+    holds the starting B and the B after each accepted step, so it has
+    iterations + 1 entries and is nonincreasing.
 
     Returns (status, best-gap weights, iterations used).
     """
@@ -262,11 +268,15 @@ def _iterate(
     best_gap = np.inf
     best_w = w.copy()
 
-    def book(wv, B, scores):
-        """Record trace/best and classify; returns gap or a terminal status."""
-        nonlocal best_gap, best_w
+    def step_taken(B):
+        nonlocal it
+        it += 1
         if trace_vals is not None:
             trace_vals.append(B)
+
+    def check(wv, B, scores):
+        """Track the best-gap iterate and classify; returns gap or a terminal status."""
+        nonlocal best_gap, best_w
         gap = float(scores.max() / B - 1.0)
         if gap < best_gap:
             best_gap = gap
@@ -278,19 +288,21 @@ def _iterate(
         return gap
 
     M = work.moment_matrix(w)
-    for _ in range(_WARMUP_STEPS):
+    for k in range(_WARMUP_STEPS):
         try:
             L, B, y, scores = work.scores_state(M)
         except np.linalg.LinAlgError:
             return "numerical", best_w, it
-        gap = book(w, B, scores)
+        if k == 0 and trace_vals is not None:
+            trace_vals.append(B)  # the starting point
+        gap = check(w, B, scores)
         if isinstance(gap, str):
             return gap, best_w, it
         mult = _try_mult(work, w, B, scores)
         if mult is None:
             break  # no descending reweighting; hand over to Newton rounds
-        w, M, _ = mult
-        it += 1
+        w, M, B = mult
+        step_taken(B)
 
     support_cap = max(8 * (work.n + 1), 64)
     no_progress = 0
@@ -302,7 +314,7 @@ def _iterate(
             L, B, y, scores = work.scores_state(M)
         except np.linalg.LinAlgError:
             return "numerical", best_w, it
-        gap = book(w, B, scores)
+        gap = check(w, B, scores)
         if isinstance(gap, str):
             return gap, best_w, it
         if B >= prev_B * (1.0 - 1e-14):
@@ -317,7 +329,7 @@ def _iterate(
         mult = _try_mult(work, w, B, scores)
         if mult is not None:
             w, M, B = mult
-            it += 1
+            step_taken(B)
             try:
                 L, B, y, scores = work.scores_state(M)
             except np.linalg.LinAlgError:
@@ -327,8 +339,7 @@ def _iterate(
         if pos.size > support_cap:
             pos = pos[np.argsort(w[pos])[-support_cap:]]
         idx = np.union1d(pos, [int(np.argmax(scores))])
-        w, M, steps = _newton_solve(work, w, M, L, B, y, idx, gap_tol)
-        it += max(steps, 1)
+        w, M, _ = _newton_solve(work, w, M, L, B, y, idx, gap_tol, step_taken)
 
 
 def _finalize(work: _Work, w: np.ndarray, status: str, gap_tol: float):

@@ -96,6 +96,13 @@ class TestOpmCommand:
         lines = (out / "run.log").read_text().splitlines()
         assert [line.split(":")[0] for line in lines] == ["opm degree=2", "opm degree=3"]
 
+    def test_run_log_names_blas_pools_at_one_thread(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("opm", "--geometry", "circle", "--z0", "2,0", "--degrees", "2", "--out", str(out)) == 0
+        line = (out / "run.log").read_text().splitlines()[-1]
+        pools = line.split(", blas=")[1].split()
+        assert pools == ["none"] or all(p.endswith(":1") for p in pools), line
+
     def test_malformed_geometry_exits_2(self, tmp_path, capsys):
         code = run("opm", "--geometry", "ellipse:1,2", "--z0", "3,0", "--out", str(tmp_path / "x"))
         assert code == 2
@@ -239,11 +246,43 @@ def test_atomic_writes_leave_no_temp_files(tmp_path):
     assert leftovers == []
 
 
-def test_module_entry_point_runs_without_runtime_warning():
+def _subprocess_env(**extra):
+    """The current environment with this checkout's package first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(opmlab.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **extra)
+
+
+def test_module_entry_point_runs_without_runtime_warning():
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "opmlab.cli", "verify", "--help"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_subprocess_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Both configs wrote different bytes under OPENBLAS_NUM_THREADS=1 and =2
+# while the BLAS pools ran at their default thread counts.
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (
+            ["opm", "--geometry", "interval", "--z0", "2,0", "--degrees", "15", "--grid", "400"],
+            ["measure.csv", "certificate.json", "summary.txt"],
+        ),
+        (
+            ["convergence", "--geometry", "interval", "--z0", "2,0", "--degrees", "4..12:4", "--grid", "400"],
+            ["plotdata.json"],
+        ),
+    ],
+    ids=["opm", "convergence"],
+)
+def test_outputs_identical_across_blas_thread_settings(tmp_path, argv, files):
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "opmlab.cli", *argv, "--out", str(tmp_path / threads)],
+            env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name in files:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

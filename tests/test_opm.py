@@ -35,6 +35,16 @@ def test_objective_trace_is_nonincreasing():
     assert opm.solve_opm(grid, 3.0, 2).objective_trace is None
 
 
+def test_iterations_count_the_traced_steps():
+    """The trace holds the start plus one B per accepted step, on a Newton-heavy solve."""
+    grid = msr.discretize_boundary(geo.interval(), 2000)
+    sol = opm.solve_opm(grid, 2.0, 30, trace=True)
+    tr = sol.objective_trace
+    assert sol.converged
+    assert tr.size == sol.iterations + 1
+    assert np.all(np.diff(tr) <= 1e-12 * tr[:-1])
+
+
 @pytest.mark.parametrize("z0", [2.8554, 3.0604, 3.1055])
 def test_degree_twelve_ellipse_rows_converge(z0):
     """Degree-12 ellipse sweep rows whose gap sits near 1e-7 still certify, with descent."""
