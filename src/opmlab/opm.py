@@ -12,13 +12,25 @@ share one certificate primitive (the node scores |K_n(x_i, z0)|^2):
 
   * a multiplicative reweighting w_i -> w_i * score_i / B, which is
     self-normalizing and very effective while the iterate is smooth;
-  * a Newton polish of the weights restricted to the heaviest support nodes
-    plus the max-score node, which enters at zero weight.  It removes the
-    slow endgame of reweighting when the grid optimum splits an atom across
-    adjacent nodes, and it is how nodes outside the support gain weight.
+  * a Newton step on the weights of the support plus the max-score node,
+    which enters at zero weight.  It removes the slow endgame of reweighting
+    when the grid optimum splits an atom across adjacent nodes, and it is
+    how nodes outside the support gain weight.
+
+Before each Newton round the support is reduced without changing B.  With
+L the Cholesky factor of M, y = M^{-1} c, k_i = u_i^H y and G the matrix
+with columns L^{-1} u_i k_i, the weight Hessian is 2 Re(G^H G), and a weight
+change d with G d = 0 gives (M + dM) y = M y = c: y, B and every node score
+stay exactly as they were.  If also sum(d) = 0 the mass stays too.  Stepping
+along such directions to a weight boundary (a Caratheodory reduction) leaves
+at most rank([Re G; Im G; 1^T]) <= 2n + 3 nodes; a c-optimal design has an
+optimum with at most 2n + 1 atoms (n + 1 for real data).  On that set the
+Newton KKT matrix is nonsingular, so Newton no longer crawls out one node
+per boundary-cut step.
 
 Each step is accepted only on certified descent, so the objective is
-nonincreasing across iterations.
+nonincreasing across iterations; a reduction is not a step and leaves the
+objective as it was.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from .measure import DiscreteMeasure
 _WEIGHT_FLOOR = 1e-8
 _WARMUP_STEPS = 100
 _NEWTON_STEPS = 40
+_ZERO_WEIGHT = 1e-15  # a weight at or below this, on unit mass, counts as zero
 
 
 @dataclass(frozen=True)
@@ -77,7 +90,8 @@ class _Work:
         self.c = bergman._features(fac, np.asarray([z0]))[:, 0]
 
     def moment_matrix(self, w: np.ndarray) -> np.ndarray:
-        M = self.U.T @ (w[:, None] * self.Uc)
+        s = np.flatnonzero(w)
+        M = self.U[s].T @ (w[s, None] * self.Uc[s])
         return 0.5 * (M + M.conj().T)
 
     def core_state(self, M: np.ndarray):
@@ -118,24 +132,121 @@ def _try_mult(work: _Work, w: np.ndarray, B: float, scores: np.ndarray):
     return None
 
 
+def _caratheodory(C: np.ndarray, W: np.ndarray, rank: int, favored: int | None = None):
+    """Zero entries of W >= 0 along the null space of C; C @ W stays fixed.
+
+    The null space is spanned by the right singular vectors of C past `rank`.
+    Each vector moves W to its first boundary, and the zeroed entry is then
+    eliminated from the remaining vectors with the one that has the largest
+    entry there, so every multiplier is at most 1 in modulus.  Each vector
+    is oriented so its entry at `favored` is nonnegative: a zero-weight
+    column there can gain weight but never blocks a step.
+    """
+    V = np.linalg.svd(C)[2][rank:].T
+    W = W.copy()
+    while V.shape[1]:
+        v = V[:, 0]
+        if favored is not None and v[favored] < 0.0:
+            v = -v
+        neg = v < 0.0
+        if not np.any(neg):  # sum(v) = 0 (the mass row), so only rounding gets here
+            V = V[:, 1:]
+            continue
+        ratios = np.full(W.size, np.inf)
+        ratios[neg] = W[neg] / -v[neg]
+        p = int(np.argmin(ratios))
+        W = np.clip(W + ratios[p] * v, 0.0, None)
+        W[p] = 0.0
+        j = int(np.argmax(np.abs(V[p])))
+        piv = V[:, j]
+        V = np.delete(V, j, axis=1)
+        V -= np.outer(piv, V[p] / piv[p])
+        V[p] = 0.0
+    return W
+
+
+def _reduce_support(work: _Work, w: np.ndarray, M, L, B: float, y, entrant: int):
+    """B-neutral Caratheodory reduction of the support plus the entrant.
+
+    Moves weight along the null space of C = [Re G; Im G; 1^T], with G the
+    columns L^{-1} u_i k_i / sqrt(B) (see the module docstring): B, y and
+    the mass stay fixed, and at most rank(C) <= 2n + 3 nodes are left.  The
+    1/sqrt(B) scaling keeps the mass row on the scale of the others, since
+    B reaches 1e33.  Large supports are first merged in 4n + 6 contiguous
+    groups that move by a common factor (recombination), so one small SVD
+    removes about half of them.  The entrant (the max-score node, at zero
+    weight) joins the last pass and may take over the weight of a node that
+    leaves, so the Newton set that follows has a nonsingular KKT matrix.
+
+    Returns (w, M, L, y) for the reduced weights, or the inputs when no node
+    can be removed.  Returns None when the reduction fails: a pass removes
+    nothing, the reduced moment matrix is not positive definite, or the
+    recomputed B is above B by more than rounding (1e-14 relative).
+    """
+    # built in place: at the first round pos is the whole grid
+    pos = np.union1d(np.flatnonzero(w), [entrant])
+    G = solve_triangular(L, work.U[pos].T, lower=True, check_finite=False)
+    G *= (work.Uc @ y)[pos] / np.sqrt(B)
+    C = np.ones((2 * G.shape[0] + 1, pos.size))
+    C[: G.shape[0]] = G.real
+    C[G.shape[0] : -1] = G.imag
+    del G
+    sv = np.linalg.svd(C, compute_uv=False)
+    rank = int(np.count_nonzero(sv > 1e-12 * sv[0]))
+    if pos.size <= rank:
+        return w, M, L, y
+    e = int(np.searchsorted(pos, entrant))
+    wp = w[pos]
+    live = np.flatnonzero(wp)
+    groups = 2 * C.shape[0]
+    while live.size > groups:
+        starts = np.arange(groups) * live.size // groups
+        Wg = np.add.reduceat(wp[live], starts)
+        Cw = C[:, live]
+        Cw *= wp[live]
+        Cg = np.add.reduceat(Cw, starts, axis=1) / Wg
+        del Cw
+        scale = np.repeat(_caratheodory(Cg, Wg, rank) / Wg, np.diff(starts, append=live.size))
+        if np.all(scale > 0.0):
+            return None  # a null vector always zeroes a group, so only rounding gets here
+        wp[live] *= scale
+        live = live[scale > 0.0]
+    cols = np.union1d(live, [e])
+    wp[cols] = _caratheodory(C[:, cols], wp[cols], rank, int(np.searchsorted(cols, e)))
+    wp[wp < _ZERO_WEIGHT * wp.sum()] = 0.0
+    w_red = np.zeros_like(w)
+    w_red[pos] = wp / wp.sum()
+    M_red = work.moment_matrix(w_red)
+    try:
+        L_red, B_red, y_red = work.core_state(M_red)
+    except np.linalg.LinAlgError:
+        return None
+    if B_red > B * (1.0 + 1e-14):
+        return None
+    return w_red, M_red, L_red, y_red
+
+
 def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float, on_step):
     """Equality-constrained Newton on the weights of the node subset `idx`.
 
-    Reweighting identifies the support quickly but crawls when the grid
-    optimum splits an atom across adjacent nodes (the weight Hessian is then
-    nearly singular along the split direction); solving the restricted KKT
-    system with H_ij = 2 Re(conj(k_i) S_ij k_j) removes that endgame.
+    With G = Z diag(k), Z = L^{-1} U_idx^T and k_i = u_i^H M^{-1} c, the
+    weight Hessian is H = 2 Re(G^H G).  Directions with G d = 0 and
+    sum(d) = 0 leave M^{-1} c, and so B, exactly unchanged, and they make
+    the KKT matrix singular.  `_reduce_support` has removed them from `idx`,
+    the entrant included, so the KKT system is nonsingular (the 1e-12 ridge
+    only guards rounding) and its step is the exact Newton step.
 
     `idx` may hold a node at zero weight (the max-score entrant).  It stays
     in the solve while its KKT step is nonnegative and is dropped, before
     any step is taken, when that step is negative; a node is also dropped
     once an accepted step takes it to zero.  Every other negative component
-    bounds the step at the first weight boundary, and a step is accepted
-    only on strict descent.  The entrant changes neither M nor B until an
-    accepted step moves it, so the objective never rises.  After each
-    accepted step, `on_step` gets the objective of the normalized weights,
-    B * sum(w): the KKT solve conserves mass only to rounding, and B scales
-    as 1/mass.  Returns (w, M, steps) with M consistent with w.
+    bounds the step at the first weight boundary.  Each trial is judged on
+    its normalized weights w' = (w + delta) / sum(w + delta) through the
+    exact difference B(w') - B(w) = sum_i delta_i (B - Re(conj(k_i) k'_i)),
+    with k' the kernel coefficients at w'.  That difference does not cancel,
+    so descent is still resolved when it is far below B's rounding.  A step
+    is accepted only when it is negative; `on_step` gets the new B, and the
+    weights keep unit mass.  Returns (w, M, steps) with M consistent with w.
     """
     w = w.copy()
     steps = 0
@@ -165,7 +276,7 @@ def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float, on_step):
         if not np.all(np.isfinite(dw)) or np.abs(dw).max() == 0.0:
             break
         neg = dw < 0.0
-        out = neg & (w[idx] <= 1e-15)
+        out = neg & (w[idx] <= _ZERO_WEIGHT)
         if np.any(out):
             idx = idx[~out]
             continue
@@ -174,24 +285,28 @@ def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float, on_step):
             t = min(1.0, float(np.min(w[idx][neg] / -dw[neg])))
         accepted = False
         for _ in range(30):
-            delta = t * dw
-            M_try = M + (Us.T * delta) @ work.Uc[idx]
-            M_try = 0.5 * (M_try + M_try.conj().T)
+            v = w[idx] + t * dw
+            v[v <= _ZERO_WEIGHT] = 0.0
+            w_try = w.copy()
+            w_try[idx] = v
+            w_try /= w_try.sum()
+            M_try = work.moment_matrix(w_try)
             try:
-                L_try, B_try, y_try = work.core_state(M_try)
+                L_try, _, y_try = work.core_state(M_try)
             except np.linalg.LinAlgError:
-                B_try = np.inf
-            if B_try < B:
-                w[idx] = np.clip(w[idx] + delta, 0.0, None)
-                M, L, B, y = M_try, L_try, B_try, y_try
+                t *= 0.5
+                continue
+            dB = float((v - w[idx]) @ (B - np.real(np.conj(k) * (Us.conj() @ y_try))))
+            if dB < 0.0:
+                w, M, L, B, y = w_try, M_try, L_try, B + dB, y_try
                 accepted = True
                 steps += 1
-                on_step(B * w.sum())
+                on_step(B)
                 break
             t *= 0.5
         if not accepted:
             break
-        idx = idx[w[idx] > 1e-15]
+        idx = idx[w[idx] > 0.0]
     return w, M, steps
 
 
@@ -253,14 +368,20 @@ def _iterate(
 
     Two phases.  A warmup of multiplicative reweighting steps handles
     iterates whose optimum keeps broad support (it solves the smooth cases
-    outright).  It is followed by exchange rounds: a multiplicative cleanup
-    of off-support weight, then a restricted Newton solve on the heaviest
-    nodes plus the max-score node, which enters at zero weight.  Every step
-    is accepted only on exact recomputed descent.
+    outright).  It is followed by exchange rounds: a B-neutral reduction of
+    the support to at most 2n + 3 nodes (`_reduce_support`), then a Newton
+    solve on those nodes plus the max-score node, which enters at zero
+    weight.  A round that takes no step ends the solve as stalled, because
+    the next round would repeat it.
 
-    An iteration is one accepted step of either type.  The objective trace
-    holds the starting B and the B after each accepted step, so it has
-    iterations + 1 entries and is nonincreasing.
+    An iteration is one accepted step of either type.  A reduction is not a
+    step: it moves weight only along directions that leave y = M^{-1} c,
+    and so B, exactly as they were, so it neither counts as an iteration
+    nor adds a trace entry, and Newton continues from the B before it.  A
+    reduction whose recomputed B disagrees beyond rounding ends the solve as
+    "numerical" rather than hand Newton a singular system on the whole
+    support.  The objective trace holds the starting B and the B after each
+    accepted step, so it has iterations + 1 entries and is nonincreasing.
 
     Returns (status, best-gap weights, iterations used).
     """
@@ -304,12 +425,8 @@ def _iterate(
         w, M, B = mult
         step_taken(B)
 
-    support_cap = max(8 * (work.n + 1), 64)
-    no_progress = 0
-    prev_B = np.inf
+    it_round = -1
     while True:
-        w = w / w.sum()
-        M = work.moment_matrix(w)
         try:
             L, B, y, scores = work.scores_state(M)
         except np.linalg.LinAlgError:
@@ -317,28 +434,19 @@ def _iterate(
         gap = check(w, B, scores)
         if isinstance(gap, str):
             return gap, best_w, it
-        if B >= prev_B * (1.0 - 1e-14):
-            no_progress += 1
-            if no_progress >= 3:
-                return "stalled", best_w, it
-        else:
-            no_progress = 0
-        prev_B = B
+        if it == it_round:
+            return "stalled", best_w, it  # the last round took no step; this one would repeat it
+        it_round = it
 
-        # shed score-deficient weight everywhere before the restricted solve
-        mult = _try_mult(work, w, B, scores)
-        if mult is not None:
-            w, M, B = mult
-            step_taken(B)
-            try:
-                L, B, y, scores = work.scores_state(M)
-            except np.linalg.LinAlgError:
-                return "numerical", best_w, it
-
-        pos = np.flatnonzero(w > 1e-10)
-        if pos.size > support_cap:
-            pos = pos[np.argsort(w[pos])[-support_cap:]]
-        idx = np.union1d(pos, [int(np.argmax(scores))])
+        entrant = int(np.argmax(scores))
+        try:
+            reduced = _reduce_support(work, w, M, L, B, y, entrant)
+        except np.linalg.LinAlgError:
+            reduced = None
+        if reduced is None:
+            return "numerical", best_w, it
+        w, M, L, y = reduced
+        idx = np.union1d(np.flatnonzero(w), [entrant])
         w, M, _ = _newton_solve(work, w, M, L, B, y, idx, gap_tol, step_taken)
 
 

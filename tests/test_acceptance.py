@@ -6,12 +6,12 @@ it asserts, so a failing run shows how far off the build is.  Timed criteria
 assert their wall-clock budget too.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
 
+from degree_one_oracle import exhaustive_min
 from opmlab import bergman as brg, geometry as geo, measure as msr, opm, szego
 
 
@@ -103,6 +103,7 @@ def test_criterion_05_segment_growth_limits():
     # [-1,1]: the extremal growth ratio M_n / |Phi(z0)|^n tends to 1/2 for
     # real z0 and to sqrt(a^2+1)/(a+sqrt(a^2+1)) on the imaginary axis, and
     # B_n at a real point matches the Chebyshev value T_n(z0)^2.
+    t0 = time.perf_counter()
     g = geo.interval()
     grid = msr.discretize_boundary(g, 2000)
     observed = {}
@@ -116,9 +117,14 @@ def test_criterion_05_segment_growth_limits():
         sol = opm.solve_opm(grid, 2.0, n, gap_tol=1e-8)
         target = float(np.cosh(n * np.arccosh(2.0))) ** 2
         worst_cheb = max(worst_cheb, abs(sol.objective - target) / target)
+    dt = time.perf_counter() - t0
     pairs = ", ".join(f"z0={z}: {r:.6f} vs {lim:.6f}" for z, (r, lim) in observed.items())
-    print(f"criterion 05: {pairs} (tol 0.02); Chebyshev rel err {worst_cheb:.3e} (tol 1e-3)")
+    print(
+        f"criterion 05: {pairs} (tol 0.02); Chebyshev rel err {worst_cheb:.3e} (tol 1e-3), "
+        f"{dt:.2f}s (budget 30s)"
+    )
     assert worst_cheb <= 1e-3
+    assert dt < 30.0
 
 
 def test_criterion_06_density_optimality_sweep():
@@ -220,56 +226,22 @@ def test_criterion_09_tilde_monotonicity():
     assert all(np.isfinite(seg_defects))
 
 
-def _weight_grid(k: int, steps: int) -> np.ndarray:
-    """Integer compositions of `steps` into k parts, one row each."""
-    count = math.comb(steps + k - 1, k - 1)
-    cuts = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(steps + k - 1), k - 1)),
-        dtype=np.int64,
-        count=count * (k - 1),
-    ).reshape(count, k - 1)
-    padded = np.concatenate(
-        [np.full((count, 1), -1), cuts, np.full((count, 1), steps + k - 1)], axis=1
-    )
-    return np.diff(padded, axis=1) - 1
-
-
-def _oracle_degree_one(nodes: np.ndarray, z0: complex, counts: np.ndarray, steps: int) -> float:
-    """Exhaustive min of B_1 over weight vectors with entries in multiples of 1/steps.
-
-    Closed form for the 2x2 moment system: with a = sum(w), b = sum(w x),
-    d = sum(w |x|^2), B_1 = (d - 2 Re(conj(b) z0) + a |z0|^2) / (a d - |b|^2).
-    """
-    best = np.inf
-    absx2 = np.abs(nodes) ** 2
-    for lo in range(0, len(counts), 1_000_000):
-        W = counts[lo : lo + 1_000_000] / steps
-        a = W.sum(axis=1)
-        b = W @ nodes.real + 1j * (W @ nodes.imag)
-        d = W @ absx2
-        det = a * d - np.abs(b) ** 2
-        num = d - 2.0 * (np.conj(b) * z0).real + a * abs(z0) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(det > 1e-15, num / det, np.inf)
-        best = min(best, float(vals.min()))
-    return best
-
-
 def test_criterion_10_oracle_equivalence():
     # Degree 1 on 5-node grids: the solver matches an exhaustive simplex-grid
     # search at weight resolution 0.01 on 10 seeded instances.
     steps = 100
-    counts = _weight_grid(5, steps)
-    worst = 0.0
+    nodes, z0s = [], []
     for trial in range(10):
         rng = np.random.default_rng(1000 + trial)
-        nodes = np.exp(2j * np.pi * np.sort(rng.uniform(0.0, 1.0, size=5)))
-        z0 = (1.5 + rng.uniform(0.0, 1.5)) * np.exp(2j * np.pi * rng.uniform())
-        oracle = _oracle_degree_one(nodes, z0, counts, steps)
-        sol = opm.solve_opm(nodes, z0, 1, gap_tol=1e-9)
+        nodes.append(np.exp(2j * np.pi * np.sort(rng.uniform(0.0, 1.0, size=5))))
+        z0s.append((1.5 + rng.uniform(0.0, 1.5)) * np.exp(2j * np.pi * rng.uniform()))
+    oracles = exhaustive_min(np.array(nodes), np.array(z0s), steps)
+    worst = 0.0
+    for x, z0, oracle in zip(nodes, z0s, oracles):
+        sol = opm.solve_opm(x, z0, 1, gap_tol=1e-9)
         worst = max(worst, abs(sol.objective - oracle) / oracle)
     print(
         f"criterion 10: worst rel gap to exhaustive search {worst:.3e} (tol 0.02), "
-        f"10 instances x {len(counts)} grid points"
+        f"10 instances x {math.comb(steps + 4, 4)} grid points"
     )
     assert worst <= 0.02

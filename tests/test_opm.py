@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from opmlab import bergman, geometry as geo, measure as msr, opm
+from degree_one_oracle import exhaustive_min
+from opmlab import geometry as geo, measure as msr, opm
 from opmlab.errors import EmptySupport, NotOptimal
 
 
@@ -42,6 +43,75 @@ def test_iterations_count_the_traced_steps():
     tr = sol.objective_trace
     assert sol.converged
     assert tr.size == sol.iterations + 1
+    assert np.all(np.diff(tr) <= 1e-12 * tr[:-1])
+
+
+SEGMENT_GRID = msr.discretize_boundary(geo.interval(), 2000)
+
+
+def test_segment_endgame_needs_no_crawl():
+    """Segment n=30 at gap_tol 1e-8 converges on its n + 1 Chebyshev atoms without the one-node crawl."""
+    sol = opm.solve_opm(SEGMENT_GRID, 2.0, 30, gap_tol=1e-8, trace=True)
+    tr = sol.objective_trace
+    assert sol.converged
+    assert sol.iterations <= 300
+    assert np.all(np.diff(tr) <= 1e-12 * tr[:-1])
+    assert sol.measure.support_size == 31
+
+
+def test_newton_rounds_keep_unit_mass(monkeypatch):
+    """Every Newton trial is judged on normalized weights, so each round ends at unit mass."""
+    sums = []
+    newton = opm._newton_solve
+
+    def recording(*args):
+        out = newton(*args)
+        sums.append(float(out[0].sum()))
+        return out
+
+    monkeypatch.setattr(opm, "_newton_solve", recording)
+    assert opm.solve_opm(SEGMENT_GRID, 2.0, 30, gap_tol=1e-8).converged
+    assert sums
+    assert max(abs(s - 1.0) for s in sums) <= 1e-14
+
+
+@pytest.mark.parametrize("z0", [2.0, 0.5j])
+def test_support_reduction_keeps_objective_and_mass(z0):
+    """The reduction of a mid-solve iterate leaves B and the mass and at most 2n + 3 nodes."""
+    n = 30
+    work = opm._Work(SEGMENT_GRID, z0, n)
+    w = np.full(SEGMENT_GRID.size, 1.0 / SEGMENT_GRID.size)
+    M = work.moment_matrix(w)
+    for _ in range(50):
+        _, B, _, scores = work.scores_state(M)
+        w, M, B = opm._try_mult(work, w, B, scores)
+    L, B, y, scores = work.scores_state(M)
+    assert np.count_nonzero(w) > 2 * n + 3
+    reduced = opm._reduce_support(work, w, M, L, B, y, int(np.argmax(scores)))
+    assert reduced is not None
+    w_red = reduced[0]
+    _, B_red, _ = work.core_state(work.moment_matrix(w_red))
+    assert abs(B_red / B - 1.0) <= 1e-12
+    assert abs(w_red.sum() - 1.0) <= 1e-14
+    assert np.all(w_red >= 0.0)
+    assert np.count_nonzero(w_red) <= 2 * n + 3
+
+
+@pytest.mark.parametrize(
+    "geom, z0, n, m",
+    [
+        (geo.interval(), 0.5j, 30, 2000),
+        (geo.ellipse(5.0, 1.0), 6.0, 32, 1000),
+        (geo.unit_circle(), 1.1j, 8, 1000),
+    ],
+    ids=["segment-0.5i-n30", "ellipse51-6-n32", "circle-1.1i-n8"],
+)
+def test_tight_tolerance_solves_converge(geom, z0, n, m):
+    """Sparse complex, wide ellipse and full-support circle optima certify at gap_tol 1e-8."""
+    sol = opm.solve_opm(msr.discretize_boundary(geom, m), z0, n, gap_tol=1e-8, trace=True)
+    assert sol.status == "converged"
+    assert sol.certificate_gap <= 1e-8
+    tr = sol.objective_trace
     assert np.all(np.diff(tr) <= 1e-12 * tr[:-1])
 
 
@@ -146,21 +216,7 @@ def test_tiny_oracle_degree_one():
     z0 = 2.2 * np.exp(2j * np.pi * rng.uniform())
     sol = opm.solve_opm(nodes, complex(z0), 1, gap_tol=1e-8)
 
-    steps = 50  # weight resolution 0.02 on the 3-simplex
-    best = np.inf
-    for i in range(steps + 1):
-        for j in range(steps + 1 - i):
-            for k in range(steps + 1 - i - j):
-                w = np.array([i, j, k, steps - i - j - k], dtype=float) / steps
-                keep = w > 0.0
-                if keep.sum() < 2:
-                    continue
-                mu = msr.DiscreteMeasure(nodes[keep], w[keep])
-                try:
-                    val = bergman.bergman_value(bergman.factorize(mu, 1), complex(z0))
-                except Exception:
-                    continue
-                best = min(best, val)
+    best = exhaustive_min(nodes, np.array([z0]), 50)[0]  # weight resolution 0.02 on the 3-simplex
     assert sol.objective <= best * (1.0 + 1e-9)
     assert sol.objective == pytest.approx(best, rel=0.02)
 
