@@ -91,6 +91,8 @@ class _Work:
 
     def moment_matrix(self, w: np.ndarray) -> np.ndarray:
         s = np.flatnonzero(w)
+        if s.size == self.m:
+            s = slice(None)  # a view: no copies of U on the full grid
         M = self.U[s].T @ (w[s, None] * self.Uc[s])
         return 0.5 * (M + M.conj().T)
 
