@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from degree_one_oracle import exhaustive_min
-from opmlab import geometry as geo, measure as msr, opm
+from degree_one_oracle import exhaustive_min, weight_grid
+from opmlab import bergman, geometry as geo, measure as msr, opm
 from opmlab.errors import EmptySupport, NotOptimal
 
 
@@ -219,6 +221,24 @@ def test_tiny_oracle_degree_one():
     best = exhaustive_min(nodes, np.array([z0]), 50)[0]  # weight resolution 0.02 on the 3-simplex
     assert sol.objective <= best * (1.0 + 1e-9)
     assert sol.objective == pytest.approx(best, rel=0.02)
+
+
+def test_degree_one_oracle_matches_the_factorization_loop():
+    """The shared closed-form oracle and its numpy grid agree with the explicit loop."""
+    rng = np.random.default_rng(9)
+    nodes = np.exp(2j * np.pi * rng.uniform(size=4))
+    z0 = complex(2.2 * np.exp(2j * np.pi * rng.uniform()))
+    steps = 8
+    comps = [c for c in itertools.product(range(steps + 1), repeat=4) if sum(c) == steps]
+    assert sorted(map(tuple, weight_grid(4, steps).tolist())) == comps
+    best = np.inf
+    for c in comps:
+        w = np.array(c, dtype=float) / steps
+        keep = w > 0.0
+        if keep.sum() >= 2:
+            fac = bergman.factorize(msr.DiscreteMeasure(nodes[keep], w[keep]), 1)
+            best = min(best, bergman.bergman_value(fac, z0))
+    assert exhaustive_min(nodes, np.array([z0]), steps)[0] == pytest.approx(best, rel=1e-12)
 
 
 def test_convergence_study_rows():
