@@ -10,12 +10,14 @@ nonnegative on any feasible measure and zero exactly at a grid-optimal one.
 The problem is a c-optimal design, and the solver uses two step types that
 share one certificate primitive (the node scores |K_n(x_i, z0)|^2):
 
-  * a multiplicative reweighting w_i -> w_i * score_i / B, which is
-    self-normalizing and very effective while the iterate is smooth;
-  * a Newton step on the weights of the support plus the max-score node,
-    which enters at zero weight.  It removes the slow endgame of reweighting
-    when the grid optimum splits an atom across adjacent nodes, and it is
-    how nodes outside the support gain weight.
+  * a short warmup of multiplicative reweighting w_i -> w_i * score_i / B,
+    which is self-normalizing and lands on smooth optima within a few steps;
+  * exchange rounds of Newton steps on the weights of the support plus
+    entrants at zero weight: the max-score node and the max-score node of
+    each atom's cell (the grid nodes nearest that atom).  Every atom can so
+    move to a better node in the same round, and the Newton step removes the
+    slow endgame of reweighting when the grid optimum splits an atom across
+    adjacent nodes.
 
 Before each Newton round the support is reduced without changing B.  With
 L the Cholesky factor of M, y = M^{-1} c, k_i = u_i^H y and G the matrix
@@ -24,9 +26,10 @@ change d with G d = 0 gives (M + dM) y = M y = c: y, B and every node score
 stay exactly as they were.  If also sum(d) = 0 the mass stays too.  Stepping
 along such directions to a weight boundary (a Caratheodory reduction) leaves
 at most rank([Re G; Im G; 1^T]) <= 2n + 3 nodes; a c-optimal design has an
-optimum with at most 2n + 1 atoms (n + 1 for real data).  On that set the
-Newton KKT matrix is nonsingular, so Newton no longer crawls out one node
-per boundary-cut step.
+optimum with at most 2n + 1 atoms (n + 1 for real data).  The cell entrants
+come on top of that set, so the Newton KKT matrix may be singular; a ridge
+keeps the solve defined, and each trial step is judged by its exact change
+of B.
 
 Each step is accepted only on certified descent, so the objective is
 nonincreasing across iterations; a reduction is not a step and leaves the
@@ -46,7 +49,7 @@ from .errors import EmptySupport, NotOptimal, OpmlabError
 from .measure import DiscreteMeasure
 
 _WEIGHT_FLOOR = 1e-8
-_WARMUP_STEPS = 100
+_WARMUP_STEPS = 10
 _NEWTON_STEPS = 40
 _ZERO_WEIGHT = 1e-15  # a weight at or below this, on unit mass, counts as zero
 
@@ -82,6 +85,7 @@ class _Work:
     """
 
     def __init__(self, nodes: np.ndarray, z0: complex, n: int):
+        self.nodes = nodes
         self.m = nodes.size
         self.n = n
         fac = bergman.factor_nodes(nodes, np.full(self.m, 1.0 / self.m), n)
@@ -178,7 +182,8 @@ def _reduce_support(work: _Work, w: np.ndarray, M, L, B: float, y, entrant: int)
     groups that move by a common factor (recombination), so one small SVD
     removes about half of them.  The entrant (the max-score node, at zero
     weight) joins the last pass and may take over the weight of a node that
-    leaves, so the Newton set that follows has a nonsingular KKT matrix.
+    leaves.  The atoms left define the cells from which `_iterate` draws
+    the other entrants of the round.
 
     Returns (w, M, L, y) for the reduced weights, or the inputs when no node
     can be removed.  Returns None when the reduction fails: a pass removes
@@ -228,20 +233,39 @@ def _reduce_support(work: _Work, w: np.ndarray, M, L, B: float, y, entrant: int)
     return w_red, M_red, L_red, y_red
 
 
+def _cell_entrants(nodes: np.ndarray, w: np.ndarray, scores: np.ndarray, threshold: float):
+    """The max-score node of each atom's cell, among nodes outside the support.
+
+    Cells split the grid by nearest atom (Euclidean distance, so no grid
+    order is assumed).  Only nodes whose score exceeds `threshold` qualify.
+    """
+    atoms = np.flatnonzero(w)
+    cand = np.flatnonzero((w == 0.0) & (scores > threshold))
+    if cand.size == 0:
+        return cand
+    cell = np.argmin(np.abs(nodes[cand, None] - nodes[atoms]), axis=1)
+    order = np.lexsort((-scores[cand], cell))
+    cell = cell[order]
+    return cand[order][np.r_[True, cell[1:] != cell[:-1]]]
+
+
 def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float, on_step):
     """Equality-constrained Newton on the weights of the node subset `idx`.
 
     With G = Z diag(k), Z = L^{-1} U_idx^T and k_i = u_i^H M^{-1} c, the
     weight Hessian is H = 2 Re(G^H G).  Directions with G d = 0 and
     sum(d) = 0 leave M^{-1} c, and so B, exactly unchanged, and they make
-    the KKT matrix singular.  `_reduce_support` has removed them from `idx`,
-    the entrant included, so the KKT system is nonsingular (the 1e-12 ridge
-    only guards rounding) and its step is the exact Newton step.
+    the KKT matrix singular.  `_reduce_support` removes them from the
+    support, but the zero-weight entrants of an exchange round can bring
+    them back, so `idx` may exceed rank([Re G; Im G; 1^T]) and the
+    quadratic model then has no unique minimizer.  The 1e-12 ridge keeps
+    the KKT solve defined, and the step stays safe because every trial is
+    judged by its exact change of B and accepted only on descent.
 
-    `idx` may hold a node at zero weight (the max-score entrant).  It stays
-    in the solve while its KKT step is nonnegative and is dropped, before
-    any step is taken, when that step is negative; a node is also dropped
-    once an accepted step takes it to zero.  Every other negative component
+    `idx` may hold nodes at zero weight (the entrants).  Each stays in the
+    solve while its KKT step is nonnegative; those whose step is negative
+    are dropped before any step is taken, and a node is also dropped once
+    an accepted step takes it to zero.  Every other negative component
     bounds the step at the first weight boundary.  Each trial is judged on
     its normalized weights w' = (w + delta) / sum(w + delta) through the
     exact difference B(w') - B(w) = sum_i delta_i (B - Re(conj(k_i) k'_i)),
@@ -368,13 +392,15 @@ def _iterate(
 ):
     """Run certified-descent steps until converged, stalled, or out of budget.
 
-    Two phases.  A warmup of multiplicative reweighting steps handles
-    iterates whose optimum keeps broad support (it solves the smooth cases
-    outright).  It is followed by exchange rounds: a B-neutral reduction of
-    the support to at most 2n + 3 nodes (`_reduce_support`), then a Newton
-    solve on those nodes plus the max-score node, which enters at zero
-    weight.  A round that takes no step ends the solve as stalled, because
-    the next round would repeat it.
+    Two phases.  A warmup of at most `_WARMUP_STEPS` multiplicative
+    reweighting steps solves the cases whose optimum keeps broad support
+    outright (one step from uniform lands on the discretized balayage).  It
+    is followed by exchange rounds: a B-neutral reduction of the support to
+    at most 2n + 3 nodes (`_reduce_support`), then a Newton solve on those
+    atoms plus one zero-weight entrant per atom cell (`_cell_entrants`),
+    among nodes scoring above B (1 + gap_tol / 4), the bound at which
+    `_newton_solve` stops.  A round that takes no step ends the solve as
+    stalled, because the next round would repeat it.
 
     An iteration is one accepted step of either type.  A reduction is not a
     step: it moves weight only along directions that leave y = M^{-1} c,
@@ -448,7 +474,9 @@ def _iterate(
         if reduced is None:
             return "numerical", best_w, it
         w, M, L, y = reduced
-        idx = np.union1d(np.flatnonzero(w), [entrant])
+        # the max-score entrant is in the support or heads its own cell
+        entrants = _cell_entrants(work.nodes, w, scores, B * (1.0 + 0.25 * gap_tol))
+        idx = np.union1d(np.flatnonzero(w), entrants)
         w, M, _ = _newton_solve(work, w, M, L, B, y, idx, gap_tol, step_taken)
 
 

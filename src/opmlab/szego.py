@@ -10,6 +10,7 @@ smooth periodic integrands used here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,8 +23,24 @@ _RADIUS_LIMIT = 0.99
 _EQUALITY_TOL = 1e-6
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=8)
 def _circle_points(m: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(m) / m)
+    """The uniform angular grid exp(2 pi i j / m), cached read-only."""
+    return _read_only(np.exp(2j * np.pi * np.arange(m) / m))
+
+
+@lru_cache(maxsize=8)
+def _trig_table(m: int, max_degree: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(cos k t, sin k t) for k = 1..max_degree on t = 2 pi j / m, cached read-only."""
+    t = 2.0 * np.pi * np.arange(m) / m
+    return tuple(
+        (_read_only(np.cos(k * t)), _read_only(np.sin(k * t))) for k in range(1, max_degree + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -72,11 +89,10 @@ def poisson_density(w0: complex, m: int = 4096) -> CircleDensity:
 
 def random_density(m: int, rng: np.random.Generator, max_degree: int = 6) -> CircleDensity:
     """exp of a random real trigonometric polynomial, normalized to mean 1."""
-    t = 2.0 * np.pi * np.arange(m) / m
     g = np.full(m, rng.uniform(-1.0, 1.0))
-    for k in range(1, max_degree + 1):
+    for cos_k, sin_k in _trig_table(m, max_degree):
         a, b = rng.uniform(-1.0, 1.0, size=2)
-        g += a * np.cos(k * t) + b * np.sin(k * t)
+        g += a * cos_k + b * sin_k
     vals = np.exp(g)
     return CircleDensity(vals / vals.mean())
 

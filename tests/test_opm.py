@@ -77,6 +77,42 @@ def test_newton_rounds_keep_unit_mass(monkeypatch):
     assert max(abs(s - 1.0) for s in sums) <= 1e-14
 
 
+def test_multiple_exchange_moves_every_atom_each_round(monkeypatch):
+    """One entrant per atom cell: the ellipse and segment endgames take a few rounds, not one per grid node."""
+    rounds = []
+    newton = opm._newton_solve
+
+    def counting(*args):
+        rounds.append(1)
+        return newton(*args)
+
+    monkeypatch.setattr(opm, "_newton_solve", counting)
+    grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660)
+    assert opm.solve_opm(grid, 3.0, 12, gap_tol=1e-7).converged
+    assert len(rounds) <= 10
+    sol = opm.solve_opm(SEGMENT_GRID, 2.0, 30, gap_tol=1e-8)
+    assert sol.converged
+    assert sol.iterations <= 100
+
+
+def test_exchange_leaves_no_split_atom():
+    """The wide-ellipse optimum with 48 atoms is reported with 48, not with one atom split across two nodes."""
+    grid = msr.discretize_boundary(geo.ellipse(5.0, 1.0), 1000)
+    sol = opm.solve_opm(grid, 6.0, 24, gap_tol=1e-8)
+    assert sol.converged
+    assert sol.measure.support_size == 48
+
+
+@pytest.mark.parametrize("n", range(16, 33, 4))
+def test_warmup_lands_on_the_discretized_balayage(n):
+    """At degrees where the grid optimum is smooth, the warmup converges on the full grid within two steps."""
+    grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660)
+    sol = opm.solve_opm(grid, 3.0, n, gap_tol=1e-7)
+    assert sol.converged
+    assert sol.iterations <= 2
+    assert sol.measure.support_size == grid.size
+
+
 @pytest.mark.parametrize("z0", [2.0, 0.5j])
 def test_support_reduction_keeps_objective_and_mass(z0):
     """The reduction of a mid-solve iterate leaves B and the mass and at most 2n + 3 nodes."""

@@ -40,6 +40,23 @@ def test_poisson_density_normalizes_lambda():
         szego.poisson_density(1.2, 256)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_random_density_matches_the_uncached_formula(seed):
+    """The cached trig tables give bitwise the values of the direct formula, in its order."""
+    m = 4096
+    rng = np.random.default_rng(seed)
+    t = 2.0 * np.pi * np.arange(m) / m
+    g = np.full(m, rng.uniform(-1.0, 1.0))
+    for k in range(1, 7):
+        a, b = rng.uniform(-1.0, 1.0, size=2)
+        g += a * np.cos(k * t) + b * np.sin(k * t)
+    vals = np.exp(g)
+    expected = vals / vals.mean()
+    got = szego.random_density(m, np.random.default_rng(seed)).values
+    assert np.array_equal(got, expected)
+    assert np.array_equal(szego.uniform_density(m).points, np.exp(2j * np.pi * np.arange(m) / m))
+
+
 def test_szego_function_multiplicative_scaling():
     """D(c * f) = sqrt(c) * D(f): the geometric-mean structure of the exponent."""
     rng = np.random.default_rng(21)
