@@ -20,7 +20,6 @@ from .errors import (
     CurveRequired,
     DomainViolation,
     EmptySupport,
-    IllConditioned,
     InsideDomain,
     InvalidGeometry,
     NoConvergence,
@@ -89,7 +88,6 @@ __all__ = [
     "DomainViolation",
     "EmptySupport",
     "FaberTable",
-    "IllConditioned",
     "InsideDomain",
     "InvalidGeometry",
     "NoConvergence",

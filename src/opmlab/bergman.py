@@ -3,16 +3,19 @@
 For a discrete probability measure nu and degree n, the central quantity is
 
     B_n(nu, z) = sup { |p(z)|^2 : deg p <= n, integral |p|^2 d nu <= 1 }
-               = v(z)^H G^{-1} v(z),
+               = sum_{k<=n} |q_k(z)|^2,
 
 the diagonal of the reproducing kernel of the degree-n polynomials in
-L^2(nu); its reciprocal is the Christoffel function.  Everything is computed
-through a QR factorization of the weighted node basis matrix, never by
-forming or inverting the moment (Gram) matrix: nodes are affinely
-preconditioned (translated by their centroid, scaled by their radius about
-it) and the resulting Vandermonde columns are equilibrated before QR, so the
-triangular factor's conditioning mirrors the intrinsic difficulty of the
-degree rather than an artifact of the raw monomial basis.
+L^2(nu), with q_0, ..., q_n the orthonormal polynomials of nu; its
+reciprocal is the Christoffel function.  The q_k come from weighted Arnoldi
+(Stieltjes) orthogonalization of 1, z, ..., z^n on the nodes ("Vandermonde
+with Arnoldi", Brubeck, Nakatsukasa & Trefethen 2021): each new vector is z
+times the last one, orthogonalized against all earlier ones, and the
+coefficients form a Hessenberg matrix H with z q_k = sum_{j<=k+1} H[j,k] q_j.
+That recurrence evaluates the q_k anywhere.  No monomial basis, moment
+matrix or triangular solve is involved, so no Vandermonde condition number
+limits the degree; what remains is a rank test (a vanishing subdiagonal of
+H means the nodes do not determine the next degree).
 
 Tilde-normalized variants divide out the exterior growth |Phi(z)|^{2n}; they
 are the quantities whose near-monotonicity in n characterizes optimal
@@ -24,73 +27,60 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import geometry as geo
-from .errors import CurveRequired, IllConditioned, NotOptimal, RankDeficient
+from .errors import CurveRequired, NotOptimal, RankDeficient
 from .measure import DiscreteMeasure
 
-_COND_LIMIT = 1e12
 _GAP_GUARD = 1e-2  # diagnostics demanding near-optimality refuse beyond this
 
 
 @dataclass(frozen=True)
-class AffineFrame:
-    """Record of the preconditioning z -> (z - center)/scale."""
-
-    center: complex
-    scale: float
-
-    def coord(self, z):
-        return (np.asarray(z, dtype=complex) - self.center) / self.scale
-
-
-def frame_for_nodes(nodes: np.ndarray) -> AffineFrame:
-    center = complex(np.mean(nodes))
-    scale = float(np.max(np.abs(nodes - center)))
-    if not (scale > 1e-300):
-        scale = 1.0
-    return AffineFrame(center=center, scale=scale)
-
-
-@dataclass(frozen=True)
 class _Factor:
-    """QR factor of the weighted, equilibrated node basis at some degree."""
+    """Orthonormal polynomials of a weighted node set up to some degree."""
 
-    frame: AffineFrame
-    colscale: np.ndarray  # length n+1
-    R: np.ndarray  # (n+1, n+1) upper triangular, R^H R = equilibrated Gram
+    H: np.ndarray  # (n+1, n) Hessenberg: z q_k = sum_{j<=k+1} H[j,k] q_j
+    q0: float  # the constant q_0 = 1/sqrt(total weight)
     degree: int
-    cond: float
+    Q: np.ndarray  # (n+1, m) orthonormal node rows Q[k, i] = sqrt(w_i) q_k(x_i)
 
 
 def factor_nodes(nodes: np.ndarray, weights: np.ndarray, n: int) -> _Factor:
-    """Factor the degree-n basis on nodes carrying positive weights.
+    """Orthonormalize 1, z, ..., z^n on nodes carrying positive weights.
 
-    The one place where the basis matrix is built (frame, Vandermonde,
-    equilibration, QR) and its rank and conditioning are checked; the
-    leading blocks of the factor serve lower degrees.
+    The one place where the basis is built and its rank checked.  Classical
+    Gram-Schmidt orthogonalizes z q_k against q_0..q_k, with a second pass
+    when the first cancels more than 30% of the norm (Kahan-Parlett); a
+    subdiagonal H[k+1,k] below 1e-14 of the norm of z q_k means the nodes do
+    not determine degree k+1.  The leading blocks serve lower degrees.
     """
     if nodes.size < n + 1:
         raise RankDeficient(
             f"degree {n} needs at least {n + 1} support points, have {nodes.size}"
         )
-    frame = frame_for_nodes(nodes)
-    zeta = frame.coord(nodes)
-    A = np.sqrt(weights)[:, None] * np.conj(np.vander(zeta, n + 1, increasing=True))
-    colscale = np.linalg.norm(A, axis=0)
-    if np.any(colscale == 0.0):
-        raise RankDeficient("degenerate node configuration (zero basis column)")
-    R = np.linalg.qr(A / colscale, mode="r")
-    diag = np.abs(np.diagonal(R))
-    if diag.min() <= 1e-14 * diag.max():
-        raise RankDeficient("nodes do not determine the polynomial space at this degree")
-    cond = float(np.linalg.cond(R))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise IllConditioned(
-            f"condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e} at degree {n}"
-        )
-    return _Factor(frame=frame, colscale=colscale, R=R, degree=n, cond=cond)
+    root_w = np.sqrt(weights)
+    q0 = 1.0 / float(np.linalg.norm(root_w))
+    Q = np.empty((n + 1, nodes.size), dtype=complex)
+    Q[0] = root_w * q0
+    H = np.zeros((n + 1, n), dtype=complex)
+    for k in range(n):
+        v = nodes * Q[k]
+        Qk = Q[: k + 1]
+        norm_in = np.linalg.norm(v)
+        h = Qk.conj() @ v
+        v -= h @ Qk
+        norm = np.linalg.norm(v)
+        if norm < 0.7 * norm_in:
+            h2 = Qk.conj() @ v
+            v -= h2 @ Qk
+            h += h2
+            norm = np.linalg.norm(v)
+        if not norm > 1e-14 * norm_in:
+            raise RankDeficient(f"nodes do not determine the polynomial space at degree {k + 1}")
+        H[: k + 1, k] = h
+        H[k + 1, k] = norm
+        Q[k + 1] = v / norm
+    return _Factor(H=H, q0=q0, degree=n, Q=Q)
 
 
 def factorize(mu: DiscreteMeasure, n: int) -> _Factor:
@@ -99,15 +89,27 @@ def factorize(mu: DiscreteMeasure, n: int) -> _Factor:
     return factor_nodes(mu.nodes[keep], mu.weights[keep], n)
 
 
+def _recurrence(fac: _Factor, start: np.ndarray, times_z, n: int) -> np.ndarray:
+    """Rows q_0..q_n by the Hessenberg recurrence from q_0 = start.
+
+    `times_z` multiplies one row by z: pointwise for values at points, a
+    shift for monomial coefficients.
+    """
+    out = np.empty((n + 1, start.size), dtype=complex)
+    out[0] = start
+    H = fac.H
+    for k in range(n):
+        out[k + 1] = (times_z(out[k]) - H[: k + 1, k] @ out[: k + 1]) / H[k + 1, k]
+    return out
+
+
 def _features(fac: _Factor, zs: np.ndarray, degree: int | None = None) -> np.ndarray:
-    """Columns y(z) with K(z, u) = y(u)^H y(z); degree defaults to the factor's."""
+    """Columns y(z) = (q_0(z), ..., q_n(z)), so K(z, u) = y(u)^H y(z); n defaults to the factor's."""
     n = fac.degree if degree is None else degree
     if n > fac.degree:
         raise ValueError(f"factor holds degree {fac.degree}, requested {n}")
-    zeta = fac.frame.coord(np.atleast_1d(zs))
-    V = np.vander(zeta, n + 1, increasing=True) / fac.colscale[: n + 1]
-    Rn = fac.R[: n + 1, : n + 1]
-    return solve_triangular(Rn, V.T, trans="C", lower=False)
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    return _recurrence(fac, np.full(zs.size, fac.q0, dtype=complex), lambda q: zs * q, n)
 
 
 def bergman_value(fac: _Factor, z: complex, degree: int | None = None) -> float:
@@ -172,7 +174,7 @@ def extremal_growth_polynomial(
 ) -> tuple[np.ndarray, float]:
     """Normalized kernel section p_n = K_n(., z0)/max_grid |K_n(., z0)|.
 
-    Returns monomial coefficients of p_n (ascending, original variable) and
+    Returns the monomial coefficients of p_n (ascending powers of z) and
     M_n = |p_n(z0)|.  Requires nu to be near-optimal for z0 on the grid.
     """
     fac = factorize(nu, n)
@@ -182,24 +184,11 @@ def extremal_growth_polynomial(
     kmax = float(kabs.max())
     M = B / kmax
     y0 = _features(fac, np.asarray([z0]))[:, 0]
-    beta = np.conj(solve_triangular(fac.R, y0, lower=False)) / fac.colscale
-    return _shift_coefficients(beta / kmax, fac.frame), M
-
-
-def _shift_coefficients(coeffs_zeta: np.ndarray, frame: AffineFrame) -> np.ndarray:
-    """Rewrite sum c_j ((z - c)/s)^j as monomial coefficients in z."""
-    n = coeffs_zeta.size - 1
-    out = np.zeros(n + 1, dtype=complex)
-    row = np.zeros(n + 1, dtype=complex)  # monomial coefficients of ((z - c)/s)^j
-    row[0] = 1.0
-    out += coeffs_zeta[0] * row
-    for j in range(1, n + 1):
-        new = np.zeros(n + 1, dtype=complex)
-        new[1 : j + 1] = row[:j]
-        new[:j] -= frame.center * row[:j]
-        row = new / frame.scale
-        out += coeffs_zeta[j] * row
-    return out
+    start = np.zeros(fac.degree + 1, dtype=complex)
+    start[0] = fac.q0
+    # z times a polynomial of degree < n shifts its coefficients up by one
+    coeffs = _recurrence(fac, start, lambda c: np.roll(c, 1), fac.degree)
+    return np.conj(y0) @ coeffs / kmax, M
 
 
 def tilde_monotonicity_defect(

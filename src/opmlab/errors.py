@@ -33,10 +33,6 @@ class RankDeficient(OpmlabError):
     """Too few support points for the requested polynomial degree."""
 
 
-class IllConditioned(OpmlabError):
-    """Estimated condition number exceeds the trust threshold."""
-
-
 class NotOptimal(OpmlabError):
     """A diagnostic requiring a near-optimal solution got one that is not."""
 

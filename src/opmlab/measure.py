@@ -61,24 +61,19 @@ class DiscreteMeasure:
 
 
 def _deduplicate(nodes: np.ndarray, weights: np.ndarray):
-    """Merge nodes that coincide within tolerance, keeping first-seen order."""
+    """Merge nodes that coincide within tolerance, keeping first-seen order.
+
+    Lexsorted neighbours closer than the tolerance join one group; the group
+    keeps its lexsort-first node and the sum of its weights.
+    """
     order = np.lexsort((nodes.imag, nodes.real))
-    keep_idx: list[int] = []
-    merged_into = np.arange(nodes.size)
-    prev = None
-    for i in order:
-        if prev is not None and abs(nodes[i] - nodes[prev]) <= _DEDUP_TOL:
-            merged_into[i] = merged_into[prev]
-        else:
-            prev = i
-    reps = np.unique(merged_into)
-    if reps.size == nodes.size:
+    starts = np.r_[True, np.abs(np.diff(nodes[order])) > _DEDUP_TOL]
+    if starts.all():
         return nodes.copy(), weights.copy()
-    reps = np.sort(reps)  # first-seen order of representatives
-    new_w = np.zeros(reps.size)
-    for j, r in enumerate(reps):
-        new_w[j] = weights[merged_into == r].sum()
-    return nodes[reps].copy(), new_w
+    merged = np.bincount(np.cumsum(starts) - 1, weights=weights[order])
+    reps = order[starts]
+    first = np.argsort(reps)  # first-seen order of representatives
+    return nodes[reps[first]], merged[first]
 
 
 def uniform_measure(nodes: np.ndarray) -> DiscreteMeasure:

@@ -77,11 +77,12 @@ class OpmSolution:
 class _Work:
     """Shared arrays for one solve.
 
-    Basis rows are the Bergman features of the uniform starting measure, so
-    they are orthonormal at the start: the moment matrix there is the
-    identity and stays moderately conditioned along the whole weight path.
-    This keeps certificate arithmetic accurate at degrees where raw scaled
-    monomials would have condition numbers near 1e10.
+    Basis rows are the orthonormal polynomials of the uniform starting
+    measure at the nodes, U[i, k] = q_k(x_i), read off the Arnoldi factor
+    (its node rows carry sqrt(1/m)), so the grid is orthogonalized once and
+    never evaluated again.  The moment matrix is the identity at the start
+    and stays moderately conditioned along the whole weight path, which
+    keeps certificate arithmetic accurate at high degree.
     """
 
     def __init__(self, nodes: np.ndarray, z0: complex, n: int):
@@ -89,7 +90,7 @@ class _Work:
         self.m = nodes.size
         self.n = n
         fac = bergman.factor_nodes(nodes, np.full(self.m, 1.0 / self.m), n)
-        self.U = bergman._features(fac, nodes).T
+        self.U = (np.sqrt(self.m) * fac.Q).T
         self.Uc = self.U.conj()
         self.c = bergman._features(fac, np.asarray([z0]))[:, 0]
 

@@ -9,7 +9,7 @@ import pytest
 
 import opmlab
 from opmlab import cli, geometry as geo, measure as msr
-from opmlab.errors import ConfigError
+from opmlab.errors import ConfigError, RankDeficient
 
 
 def run(*args):
@@ -230,8 +230,13 @@ class TestVerifyCommand:
         assert code == 1
 
 
-def test_numerical_failure_exit_code(tmp_path):
-    # degree far beyond what the grid conditioning supports -> solver error path
+def test_numerical_failure_exit_code(tmp_path, monkeypatch):
+    """A library error inside the solver maps to exit code 3."""
+
+    def refuse(nodes, weights, n):
+        raise RankDeficient("injected")
+
+    monkeypatch.setattr("opmlab.bergman.factor_nodes", refuse)
     code = run(
         "opm", "--geometry", "interval", "--z0", "2,0",
         "--degrees", "55", "--grid", "1200", "--out", str(tmp_path / "x"),

@@ -27,6 +27,33 @@ def test_duplicate_nodes_merge_weights_first_seen_order():
     assert mu.weights.sum() == pytest.approx(1.0)
 
 
+def _deduplicate_loop(nodes, weights):
+    """Reference: walk the lexsorted nodes, merging each into the open group's first node."""
+    order = np.lexsort((nodes.imag, nodes.real))
+    merged_into = np.arange(nodes.size)
+    prev = None
+    for i in order:
+        if prev is not None and abs(nodes[i] - nodes[prev]) <= msr._DEDUP_TOL:
+            merged_into[i] = prev
+        else:
+            prev = i
+    reps = np.unique(merged_into)
+    return nodes[reps], np.array([weights[merged_into == r].sum() for r in reps])
+
+
+def test_deduplicate_matches_the_loop_reference():
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        m = int(rng.integers(1, 40))
+        nodes = np.round(rng.normal(size=m) + 1j * rng.normal(size=m), 1)
+        nodes += (rng.uniform(size=m) < 0.3) * 1e-13 * rng.normal(size=m)
+        weights = rng.uniform(size=m)
+        got = msr._deduplicate(nodes, weights)
+        want = _deduplicate_loop(nodes, weights)
+        assert np.array_equal(got[0], want[0])
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-14, atol=0.0)  # 40 summands, eps 2.2e-16
+
+
 def test_uniform_measure():
     mu = msr.uniform_measure(np.exp(2j * np.pi * np.arange(8) / 8))
     assert np.allclose(mu.weights, 0.125)
