@@ -67,11 +67,11 @@ def factor_nodes(nodes: np.ndarray, weights: np.ndarray, n: int) -> _Factor:
         v = nodes * Q[k]
         Qk = Q[: k + 1]
         norm_in = np.linalg.norm(v)
-        h = Qk.conj() @ v
+        h = (Qk @ v.conj()).conj()  # Qk^H v, conjugating v rather than Qk
         v -= h @ Qk
         norm = np.linalg.norm(v)
         if norm < 0.7 * norm_in:
-            h2 = Qk.conj() @ v
+            h2 = (Qk @ v.conj()).conj()
             v -= h2 @ Qk
             h += h2
             norm = np.linalg.norm(v)
