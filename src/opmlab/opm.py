@@ -13,11 +13,11 @@ share one certificate primitive (the node scores |K_n(x_i, z0)|^2):
   * a short warmup of multiplicative reweighting w_i -> w_i * score_i / B,
     which is self-normalizing and lands on smooth optima within a few steps;
   * exchange rounds of Newton steps on the weights of the support plus
-    entrants at zero weight: the max-score node and the max-score node of
-    each atom's cell (the grid nodes nearest that atom).  Every atom can so
-    move to a better node in the same round, and the Newton step removes the
-    slow endgame of reweighting when the grid optimum splits an atom across
-    adjacent nodes.
+    entrants at zero weight: the max-score node of each atom's cell (the
+    grid nodes nearest that atom), the overall max-score node among them.
+    Every atom can so move to a better node in the same round, and the
+    Newton step removes the slow endgame of reweighting when the grid
+    optimum splits an atom across adjacent nodes.
 
 Before each Newton round the support is reduced without changing B.  With
 L the Cholesky factor of M, y = M^{-1} c, k_i = u_i^H y and G the matrix
@@ -139,22 +139,18 @@ def _try_mult(work: _Work, w: np.ndarray, B: float, scores: np.ndarray):
     return None
 
 
-def _caratheodory(C: np.ndarray, W: np.ndarray, rank: int, favored: int | None = None):
+def _caratheodory(C: np.ndarray, W: np.ndarray, rank: int):
     """Zero entries of W >= 0 along the null space of C; C @ W stays fixed.
 
     The null space is spanned by the right singular vectors of C past `rank`.
     Each vector moves W to its first boundary, and the zeroed entry is then
     eliminated from the remaining vectors with the one that has the largest
-    entry there, so every multiplier is at most 1 in modulus.  Each vector
-    is oriented so its entry at `favored` is nonnegative: a zero-weight
-    column there can gain weight but never blocks a step.
+    entry there, so every multiplier is at most 1 in modulus.
     """
     V = np.linalg.svd(C)[2][rank:].T
     W = W.copy()
     while V.shape[1]:
         v = V[:, 0]
-        if favored is not None and v[favored] < 0.0:
-            v = -v
         neg = v < 0.0
         if not np.any(neg):  # sum(v) = 0 (the mass row), so only rounding gets here
             V = V[:, 1:]
@@ -172,8 +168,8 @@ def _caratheodory(C: np.ndarray, W: np.ndarray, rank: int, favored: int | None =
     return W
 
 
-def _reduce_support(work: _Work, w: np.ndarray, M, L, B: float, y, entrant: int):
-    """B-neutral Caratheodory reduction of the support plus the entrant.
+def _reduce_support(work: _Work, w: np.ndarray, M, L, B: float, y):
+    """B-neutral Caratheodory reduction of the support.
 
     Moves weight along the null space of C = [Re G; Im G; 1^T], with G the
     columns L^{-1} u_i k_i / sqrt(B) (see the module docstring): B, y and
@@ -181,10 +177,8 @@ def _reduce_support(work: _Work, w: np.ndarray, M, L, B: float, y, entrant: int)
     1/sqrt(B) scaling keeps the mass row on the scale of the others, since
     B reaches 1e33.  Large supports are first merged in 4n + 6 contiguous
     groups that move by a common factor (recombination), so one small SVD
-    removes about half of them.  The entrant (the max-score node, at zero
-    weight) joins the last pass and may take over the weight of a node that
-    leaves.  The atoms left define the cells from which `_iterate` draws
-    the other entrants of the round.
+    removes about half of them.  The atoms left define the cells from which
+    `_iterate` draws the entrants of the round.
 
     Returns (w, M, L, y) for the reduced weights, or the inputs when no node
     can be removed.  Returns None when the reduction fails: a pass removes
@@ -192,7 +186,7 @@ def _reduce_support(work: _Work, w: np.ndarray, M, L, B: float, y, entrant: int)
     recomputed B is above B by more than rounding (1e-14 relative).
     """
     # built in place: at the first round pos is the whole grid
-    pos = np.union1d(np.flatnonzero(w), [entrant])
+    pos = np.flatnonzero(w)
     G = solve_triangular(L, work.U[pos].T, lower=True, check_finite=False)
     G *= (work.Uc @ y)[pos] / np.sqrt(B)
     C = np.ones((2 * G.shape[0] + 1, pos.size))
@@ -203,9 +197,8 @@ def _reduce_support(work: _Work, w: np.ndarray, M, L, B: float, y, entrant: int)
     rank = int(np.count_nonzero(sv > 1e-12 * sv[0]))
     if pos.size <= rank:
         return w, M, L, y
-    e = int(np.searchsorted(pos, entrant))
     wp = w[pos]
-    live = np.flatnonzero(wp)
+    live = np.arange(pos.size)
     groups = 2 * C.shape[0]
     while live.size > groups:
         starts = np.arange(groups) * live.size // groups
@@ -219,8 +212,7 @@ def _reduce_support(work: _Work, w: np.ndarray, M, L, B: float, y, entrant: int)
             return None  # a null vector always zeroes a group, so only rounding gets here
         wp[live] *= scale
         live = live[scale > 0.0]
-    cols = np.union1d(live, [e])
-    wp[cols] = _caratheodory(C[:, cols], wp[cols], rank, int(np.searchsorted(cols, e)))
+    wp[live] = _caratheodory(C[:, live], wp[live], rank)
     wp[wp < _ZERO_WEIGHT * wp.sum()] = 0.0
     w_red = np.zeros_like(w)
     w_red[pos] = wp / wp.sum()
@@ -393,15 +385,16 @@ def _iterate(
 ):
     """Run certified-descent steps until converged, stalled, or out of budget.
 
-    Two phases.  A warmup of at most `_WARMUP_STEPS` multiplicative
-    reweighting steps solves the cases whose optimum keeps broad support
-    outright (one step from uniform lands on the discretized balayage).  It
-    is followed by exchange rounds: a B-neutral reduction of the support to
-    at most 2n + 3 nodes (`_reduce_support`), then a Newton solve on those
-    atoms plus one zero-weight entrant per atom cell (`_cell_entrants`),
-    among nodes scoring above B (1 + gap_tol / 4), the bound at which
-    `_newton_solve` stops.  A round that takes no step ends the solve as
-    stalled, because the next round would repeat it.
+    One loop with two phases.  A warmup of multiplicative reweighting steps
+    solves the cases whose optimum keeps broad support outright (one step
+    from uniform lands on the discretized balayage); it ends at the first
+    rejected step or after `_WARMUP_STEPS` steps.  Exchange rounds follow:
+    a B-neutral reduction of the support to at most 2n + 3 nodes
+    (`_reduce_support`), then a Newton solve on those atoms plus one
+    zero-weight entrant per atom cell (`_cell_entrants`), among nodes
+    scoring above B (1 + gap_tol / 4), the bound at which `_newton_solve`
+    stops.  A round that takes no step ends the solve as stalled, because
+    the next round would repeat it.
 
     An iteration is one accepted step of either type.  A reduction is not a
     step: it moves weight only along directions that leave y = M^{-1} c,
@@ -417,6 +410,8 @@ def _iterate(
     it = 0
     best_gap = np.inf
     best_w = w.copy()
+    warmup = True
+    it_round = -1
 
     def step_taken(B):
         nonlocal it
@@ -424,58 +419,42 @@ def _iterate(
         if trace_vals is not None:
             trace_vals.append(B)
 
-    def check(wv, B, scores):
-        """Track the best-gap iterate and classify; returns gap or a terminal status."""
-        nonlocal best_gap, best_w
-        gap = float(scores.max() / B - 1.0)
-        if gap < best_gap:
-            best_gap = gap
-            best_w = wv.copy()
-        if gap <= gap_tol:
-            return "converged"
-        if it >= max_iters:
-            return "max_iters"
-        return gap
-
     M = work.moment_matrix(w)
-    for k in range(_WARMUP_STEPS):
-        try:
-            L, B, y, scores = work.scores_state(M)
-        except np.linalg.LinAlgError:
-            return "numerical", best_w, it
-        if k == 0 and trace_vals is not None:
-            trace_vals.append(B)  # the starting point
-        gap = check(w, B, scores)
-        if isinstance(gap, str):
-            return gap, best_w, it
-        mult = _try_mult(work, w, B, scores)
-        if mult is None:
-            break  # no descending reweighting; hand over to Newton rounds
-        w, M, B = mult
-        step_taken(B)
-
-    it_round = -1
     while True:
         try:
             L, B, y, scores = work.scores_state(M)
         except np.linalg.LinAlgError:
             return "numerical", best_w, it
-        gap = check(w, B, scores)
-        if isinstance(gap, str):
-            return gap, best_w, it
+        if trace_vals is not None and not trace_vals:
+            trace_vals.append(B)  # the starting point
+        gap = float(scores.max() / B - 1.0)
+        if gap < best_gap:
+            best_gap = gap
+            best_w = w.copy()
+        if gap <= gap_tol:
+            return "converged", best_w, it
+        if it >= max_iters:
+            return "max_iters", best_w, it
+
+        if warmup:
+            mult = _try_mult(work, w, B, scores) if it < _WARMUP_STEPS else None
+            if mult is not None:
+                w, M, B = mult
+                step_taken(B)
+                continue
+            warmup = False  # no descending reweighting, or the budget is spent
         if it == it_round:
             return "stalled", best_w, it  # the last round took no step; this one would repeat it
         it_round = it
 
-        entrant = int(np.argmax(scores))
         try:
-            reduced = _reduce_support(work, w, M, L, B, y, entrant)
+            reduced = _reduce_support(work, w, M, L, B, y)
         except np.linalg.LinAlgError:
             reduced = None
         if reduced is None:
             return "numerical", best_w, it
         w, M, L, y = reduced
-        # the max-score entrant is in the support or heads its own cell
+        # the max-score node is in the support or heads its own cell
         entrants = _cell_entrants(work.nodes, w, scores, B * (1.0 + 0.25 * gap_tol))
         idx = np.union1d(np.flatnonzero(w), entrants)
         w, M, _ = _newton_solve(work, w, M, L, B, y, idx, gap_tol, step_taken)

@@ -10,7 +10,7 @@ seeded and emit deterministic numbers so reports are byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,14 +27,25 @@ class CheckResult:
     detail: str
 
     def to_json_obj(self) -> dict:
+        observed = float(self.observed)
         return {
             "name": self.name,
             "passed": bool(self.passed),
             "asserted": bool(self.asserted),
             "tolerance": float(self.tolerance),
-            "observed": float(self.observed),
+            "observed": observed if np.isfinite(observed) else None,
             "detail": self.detail,
         }
+
+
+def _asserted(name: str, errors, tolerance: float, detail: str) -> CheckResult:
+    """An asserted check: observed is the largest error, and it passes within tolerance.
+
+    np.max propagates a NaN and NaN <= tolerance is false, so one NaN error
+    fails the check.
+    """
+    observed = float(np.max(errors))
+    return CheckResult(name, observed <= tolerance, True, tolerance, observed, detail)
 
 
 def _random_circle_measure(rng: np.random.Generator, m: int):
@@ -50,29 +61,21 @@ def check_christinv_poisson(m: int = 512) -> CheckResult:
     geom = geo.unit_circle()
     z0 = 2.0 + 0.0j
     mu = msr.balayage_point_mass(geom, z0, m)
-    worst = 0.0
+    errors = []
     for n in range(1, 9):
         fac = bergman.factorize(mu, n)
         lam_at_z0 = 1.0 / bergman.bergman_value(fac, z0)
         lam_reflected = 1.0 / bergman.bergman_value(fac, 1.0 / np.conj(z0))
-        worst = max(
-            worst,
-            abs(lam_at_z0 * abs(z0) ** (2 * n) - 1.0),
-            abs(lam_reflected - 1.0),
-        )
-    return CheckResult(
-        name="christinv_poisson",
-        passed=worst <= 1e-8,
-        asserted=True,
-        tolerance=1e-8,
-        observed=float(worst),
-        detail="Poisson measure at z0=2, degrees 1..8, both sides of the reflection identity",
+        errors += [abs(lam_at_z0 * abs(z0) ** (2 * n) - 1.0), abs(lam_reflected - 1.0)]
+    return _asserted(
+        "christinv_poisson", errors, 1e-8,
+        "Poisson measure at z0=2, degrees 1..8, both sides of the reflection identity",
     )
 
 
 def check_christinv_random(seed: int, trials: int = 50) -> CheckResult:
     """|z|^{2n} lambda_n(mu, z) = lambda_n(mu, 1/conj(z)) on random circle measures."""
-    worst = 0.0
+    errors = []
     for i in range(trials):
         rng = np.random.default_rng(seed + i)
         mu = _random_circle_measure(rng, 100)
@@ -83,53 +86,38 @@ def check_christinv_random(seed: int, trials: int = 50) -> CheckResult:
         fac = bergman.factorize(mu, n)
         lhs = abs(z) ** (2 * n) / bergman.bergman_value(fac, z)
         rhs = 1.0 / bergman.bergman_value(fac, 1.0 / np.conj(z))
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    return CheckResult(
-        name="christinv_random",
-        passed=worst <= 1e-8,
-        asserted=True,
-        tolerance=1e-8,
-        observed=float(worst),
-        detail=f"{trials} random circle measures, n <= 15, random z, relative error",
+        errors.append(abs(lhs - rhs) / rhs)
+    return _asserted(
+        "christinv_random", errors, 1e-8,
+        f"{trials} random circle measures, n <= 15, random z, relative error",
     )
 
 
 def check_szego_scaling(seed: int, m: int = 4096) -> CheckResult:
     """Doubling an (unnormalized) density scales D by sqrt(2)."""
-    worst = 0.0
+    errors = []
     for i in range(5):
         rng = np.random.default_rng(seed + 1000 + i)
         f = szego.random_density(m, rng)
         z = 0.8 * rng.uniform(0.1, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         d1 = szego.szego_function_raw(f.values, z)
         d2 = szego.szego_function_raw(2.0 * f.values, z)
-        worst = max(worst, abs(d2 - np.sqrt(2.0) * d1) / abs(d1))
-    return CheckResult(
-        name="szego_scaling",
-        passed=worst <= 1e-10,
-        asserted=True,
-        tolerance=1e-10,
-        observed=float(worst),
-        detail="D(2f, z) vs sqrt(2) D(f, z) on 5 random densities",
+        errors.append(abs(d2 - np.sqrt(2.0) * d1) / abs(d1))
+    return _asserted(
+        "szego_scaling", errors, 1e-10, "D(2f, z) vs sqrt(2) D(f, z) on 5 random densities"
     )
 
 
 def check_circle_optimality(seed: int, trials: int = 200, m: int = 4096) -> CheckResult:
     """No random density beats the Poisson density at w0 = 1/2, whose value is 1."""
     report = szego.verify_circle_optimality(0.5, trials, seed, m=m)
-    observed = abs(report.poisson_lambda - 1.0)
-    passed = report.passed and observed <= 1e-8 and report.max_lambda < report.poisson_lambda
-    return CheckResult(
-        name="circle_optimality",
-        passed=bool(passed),
-        asserted=True,
-        tolerance=1e-8,
-        observed=float(observed),
-        detail=(
-            f"{trials} random densities at w0=0.5: max lambda {report.max_lambda:.6f}, "
-            f"poisson lambda {report.poisson_lambda!r}, {len(report.violations)} violations"
-        ),
+    result = _asserted(
+        "circle_optimality", [abs(report.poisson_lambda - 1.0)], 1e-8,
+        f"{trials} random densities at w0=0.5: max lambda {report.max_lambda:.6f}, "
+        f"poisson lambda {report.poisson_lambda!r}, {len(report.violations)} violations",
     )
+    holds = report.passed and report.max_lambda < report.poisson_lambda
+    return replace(result, passed=result.passed and holds)
 
 
 def check_faber_decay() -> CheckResult:
@@ -139,37 +127,27 @@ def check_faber_decay() -> CheckResult:
         (geo.ellipse(2.0, 1.0), 20, 1.5),
         (geo.laurent_curve(1.0, 0.0, (0.0, 0.15)), 20, 2.0),
     ]
-    worst = 0.0
-    for g, n, radius in cases:
-        worst = max(worst, geo.faber_asymptotic_deviation(g, n, radius))
-    return CheckResult(
-        name="faber_decay",
-        passed=worst <= 1e-8,
-        asserted=True,
-        tolerance=1e-8,
-        observed=float(worst),
-        detail="max deviation over circle, ellipse(2,1), and a perturbed Laurent curve at n=20",
+    return _asserted(
+        "faber_decay",
+        [geo.faber_asymptotic_deviation(g, n, radius) for g, n, radius in cases],
+        1e-8,
+        "max deviation over circle, ellipse(2,1), and a perturbed Laurent curve at n=20",
     )
 
 
 def check_tilde_monotonicity_circle(seed: int, trials: int = 50) -> CheckResult:
     """tilde-B_{N-1} <= tilde-B_N on the circle (reflection makes it exact)."""
     geom = geo.unit_circle()
-    worst = -np.inf
+    defects = []
     for i in range(trials):
         rng = np.random.default_rng(seed + 2000 + i)
         mu = _random_circle_measure(rng, 64)
         N = int(rng.integers(2, 21))
         z = rng.uniform(1.2, 3.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        defect = bergman.tilde_monotonicity_defect(geom, mu, N, 1, z)
-        worst = max(worst, defect)
-    return CheckResult(
-        name="tilde_monotonicity_circle",
-        passed=worst <= 1e-10,
-        asserted=True,
-        tolerance=1e-10,
-        observed=float(worst),
-        detail=f"max defect tilde_B_(N-1)/tilde_B_N - 1 over {trials} random measures, N <= 20",
+        defects.append(bergman.tilde_monotonicity_defect(geom, mu, N, 1, z))
+    return _asserted(
+        "tilde_monotonicity_circle", defects, 1e-10,
+        f"max defect tilde_B_(N-1)/tilde_B_N - 1 over {trials} random measures, N <= 20",
     )
 
 
@@ -181,8 +159,7 @@ def check_tilde_monotonicity_interval(seed: int, trials: int = 50) -> CheckResul
     uniform weights, a deterministic witness of a positive defect.
     """
     geom = geo.interval()
-    worst = -np.inf
-    witness = -np.inf
+    defects = []
     for i in range(trials):
         if i == 0:
             mcount = 32
@@ -200,19 +177,17 @@ def check_tilde_monotonicity_interval(seed: int, trials: int = 50) -> CheckResul
         b_hi = bergman.bergman_value(fac, z)
         b_lo = bergman.bergman_value(fac, z, degree=N - 1)
         phi_abs = abs(geo.exterior_map(geom, z))
-        defect = float((b_lo / b_hi) * phi_abs**2 - 1.0)
-        worst = max(worst, defect)
-        if i == 0:
-            witness = defect
+        defects.append(float((b_lo / b_hi) * phi_abs**2 - 1.0))
+    worst = float(np.max(defects))
     return CheckResult(
         name="tilde_monotonicity_interval",
         passed=True,
         asserted=False,
         tolerance=0.0,
-        observed=float(worst),
+        observed=worst,
         detail=(
             f"recorded, not asserted: max defect {worst:.6f} over {trials} segment measures "
-            f"(deterministic witness defect {witness:.6f}); positive values show the "
+            f"(deterministic witness defect {defects[0]:.6f}); positive values show the "
             "monotonicity genuinely fails off closed curves"
         ),
     )
@@ -223,14 +198,9 @@ def check_transport_circle(m: int = 2048, n_probe: int = 30) -> CheckResult:
     geom = geo.unit_circle()
     mu = msr.uniform_measure(msr.discretize_boundary(geom, m))
     lhs, rhs = szego.transport_check(geom, mu, 2.0, n_probe)
-    observed = max(abs(lhs - 0.75), abs(rhs - 0.75))
-    return CheckResult(
-        name="transport_circle",
-        passed=observed <= 0.02,
-        asserted=True,
-        tolerance=0.02,
-        observed=float(observed),
-        detail=f"arclength density, z=2, n_probe={n_probe}: lhs {lhs!r}, rhs {rhs!r}",
+    return _asserted(
+        "transport_circle", [abs(lhs - 0.75), abs(rhs - 0.75)], 0.02,
+        f"arclength density, z=2, n_probe={n_probe}: lhs {lhs!r}, rhs {rhs!r}",
     )
 
 
@@ -241,14 +211,9 @@ def check_transport_ellipse(m: int = 2048, n_probe: int = 40) -> CheckResult:
     density = np.abs(geo.psi_prime(geom, np.exp(1j * t)))
     mu = msr.measure_from_boundary_density(geom, density)
     lhs, rhs = szego.transport_check(geom, mu, 3.0, n_probe)
-    observed = abs(lhs - rhs) / rhs
-    return CheckResult(
-        name="transport_ellipse",
-        passed=observed <= 0.05,
-        asserted=True,
-        tolerance=0.05,
-        observed=float(observed),
-        detail=f"z=3, n_probe={n_probe}: lhs {lhs!r}, rhs {rhs!r}, relative difference",
+    return _asserted(
+        "transport_ellipse", [abs(lhs - rhs) / rhs], 0.05,
+        f"z=3, n_probe={n_probe}: lhs {lhs!r}, rhs {rhs!r}, relative difference",
     )
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from degree_one_oracle import exhaustive_min
-from opmlab import bergman as brg, geometry as geo, measure as msr, opm, szego
+from opmlab import bergman as brg, geometry as geo, measure as msr, opm, verify
 
 
 def test_criterion_01_circle_point_mass_growth():
@@ -131,15 +131,13 @@ def test_criterion_06_density_optimality_sweep():
     # 200 random circle densities: none beats the Poisson density at w0 = 0.5,
     # whose own value is exactly 1.
     t0 = time.perf_counter()
-    report = szego.verify_circle_optimality(0.5, 200, seed=0)
+    check = verify.check_circle_optimality(0)
     dt = time.perf_counter() - t0
     print(
-        f"criterion 06: max lambda {report.max_lambda:.6f} < poisson {report.poisson_lambda!r} "
-        f"(= 1 +- 1e-8), {len(report.violations)} violations, {dt:.2f}s (budget 10s)"
+        f"criterion 06: {check.detail}; |poisson - 1| {check.observed:.3e} "
+        f"(tol {check.tolerance:g}), {dt:.2f}s (budget 10s)"
     )
-    assert report.violations == []
-    assert abs(report.poisson_lambda - 1.0) <= 1e-8
-    assert report.max_lambda < report.poisson_lambda
+    assert check.passed
     assert dt < 10.0
 
 
@@ -166,64 +164,30 @@ def test_criterion_08_growth_transport():
     # Normalized growth on the curve equals lambda_inf of the transported
     # density at the reflected point: circle against the closed form 0.75,
     # ellipse lhs vs rhs within 5%.
-    g = geo.unit_circle()
-    mu = msr.uniform_measure(msr.discretize_boundary(g, 2048))
-    lhs_c, rhs_c = szego.transport_check(g, mu, 2.0, 30)
-    g2 = geo.ellipse(2.0, 1.0)
-    t = 2.0 * np.pi * np.arange(2048) / 2048
-    mu2 = msr.measure_from_boundary_density(g2, np.abs(geo.psi_prime(g2, np.exp(1j * t))))
-    lhs_e, rhs_e = szego.transport_check(g2, mu2, 3.0, 40)
-    rel_e = abs(lhs_e - rhs_e) / rhs_e
+    circle = verify.check_transport_circle()
+    ellipse = verify.check_transport_ellipse()
     print(
-        f"criterion 08: circle lhs {lhs_c:.6f} rhs {rhs_c:.6f} vs 0.75 (tol 0.02); "
-        f"ellipse rel diff {rel_e:.3e} (tol 0.05)"
+        f"criterion 08: circle {circle.detail}, max distance to 0.75 {circle.observed:.3e} "
+        f"(tol {circle.tolerance:g}); ellipse rel diff {ellipse.observed:.3e} "
+        f"(tol {ellipse.tolerance:g})"
     )
-    assert abs(lhs_c - 0.75) <= 0.02
-    assert abs(rhs_c - 0.75) <= 0.02
-    assert rel_e <= 0.05
+    assert circle.passed
+    assert ellipse.passed
 
 
 def test_criterion_09_tilde_monotonicity():
     # Circle: the normalized objective is monotone in the degree for every
     # measure (asserted).  Segment: the same comparison is recorded but not
     # asserted; a deterministic witness shows it genuinely failing there.
-    g = geo.unit_circle()
-    worst_circle = -np.inf
-    for i in range(50):
-        rng = np.random.default_rng(4200 + i)
-        nodes = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=64))
-        w = rng.exponential(1.0, size=64)
-        mu = msr.DiscreteMeasure(nodes, w / w.sum())
-        N = int(rng.integers(2, 21))
-        z = rng.uniform(1.2, 3.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        worst_circle = max(worst_circle, brg.tilde_monotonicity_defect(g, mu, N, 1, z))
-
-    seg = geo.interval()
-    seg_defects = []
-    for i in range(50):
-        if i == 0:
-            nodes = np.cos(np.pi * (2 * np.arange(32) + 1) / 64.0)
-            mu = msr.uniform_measure(nodes)
-            N, z = 2, 2.0 + 0.0j
-        else:
-            rng = np.random.default_rng(4300 + i)
-            nodes = np.cos(rng.uniform(0.0, np.pi, size=32))
-            w = rng.exponential(1.0, size=32)
-            mu = msr.DiscreteMeasure(nodes, w / w.sum())
-            N = int(rng.integers(2, 13))
-            z = rng.uniform(1.5, 3.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        fac = brg.factorize(mu, N)
-        growth = abs(geo.exterior_map(seg, z)) ** 2
-        seg_defects.append(
-            brg.bergman_value(fac, z, degree=N - 1) / brg.bergman_value(fac, z) * growth - 1.0
-        )
+    # The seeds draw generators 4200 + i (circle) and 4300 + i (segment).
+    circle = verify.check_tilde_monotonicity_circle(2200)
+    segment = verify.check_tilde_monotonicity_interval(1300)
     print(
-        f"criterion 09: circle max defect {worst_circle:.3e} (tol 1e-10); "
-        f"segment recorded, not asserted: witness {seg_defects[0]:+.3f}, "
-        f"max {max(seg_defects):+.3f} over 50 measures"
+        f"criterion 09: circle max defect {circle.observed:.3e} (tol {circle.tolerance:g}); "
+        f"segment {segment.detail}"
     )
-    assert worst_circle <= 1e-10
-    assert all(np.isfinite(seg_defects))
+    assert circle.passed
+    assert np.isfinite(segment.observed)  # np.max keeps a NaN, so every defect is finite
 
 
 def test_criterion_10_oracle_equivalence():

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import opmlab
-from opmlab import cli, geometry as geo, measure as msr
+from opmlab import bergman as brg, cli, geometry as geo, measure as msr, szego, verify
 from opmlab.errors import ConfigError, RankDeficient
 
 
@@ -214,7 +216,7 @@ class TestVerifyCommand:
         assert len(rep["checks"]) == 9
 
     def test_fault_injection_fails_the_suite(self, tmp_path, monkeypatch):
-        """A wrong balayage weight must trip the reflection-identity check."""
+        """A wrong balayage weight, or one NaN Bergman value or Szego lambda, must fail the suite."""
         import opmlab.measure as om
 
         true_bal = om.balayage_point_mass
@@ -225,9 +227,38 @@ class TestVerifyCommand:
             w[0] += 0.01
             return om.DiscreteMeasure(mu.nodes, w / w.sum())
 
-        monkeypatch.setattr("opmlab.verify.msr.balayage_point_mass", tampered)
-        code = run("verify", "--seed", "0", "--out", str(tmp_path / "x"))
-        assert code == 1
+        def nan_on_seventh_call(fn, spoil):
+            def make():
+                calls = itertools.count(1)
+                return lambda *a, **kw: spoil(fn(*a, **kw)) if next(calls) == 7 else fn(*a, **kw)
+
+            return make
+
+        faults = [
+            ("opmlab.verify.msr.balayage_point_mass", lambda: tampered, []),
+            (
+                "opmlab.verify.bergman.bergman_value",
+                nan_on_seventh_call(brg.bergman_value, lambda v: float("nan")),
+                [verify.check_christinv_poisson, lambda: verify.check_christinv_random(0)],
+            ),
+            (
+                "opmlab.szego.szego_function",
+                nan_on_seventh_call(
+                    szego.szego_function, lambda e: dataclasses.replace(e, lambda_inf=float("nan"))
+                ),
+                [lambda: szego.verify_circle_optimality(0.5, 200, seed=0)],
+            ),
+        ]
+        for k, (target, make, checks) in enumerate(faults):
+            for check in checks:
+                with monkeypatch.context() as mp:
+                    mp.setattr(target, make())
+                    assert not check().passed, target
+            with monkeypatch.context() as mp:
+                mp.setattr(target, make())
+                assert run("verify", "--seed", "0", "--out", str(tmp_path / str(k))) == 1, target
+            text = (tmp_path / str(k) / "verify_report.json").read_text()
+            assert "NaN" not in text  # a non-finite observed is written as null
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
@@ -257,12 +288,13 @@ def _subprocess_env(**extra):
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **extra)
 
 
-def test_module_entry_point_runs_without_runtime_warning():
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "opmlab.cli", "verify", "--help"],
-        env=_subprocess_env(), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_module_entry_point_runs_without_runtime_warning(tmp_path):
+    for argv in (["verify", "--help"], ["verify", "--seed", "0", "--out", str(tmp_path)]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "opmlab.cli", *argv],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 # Both configs wrote different bytes under OPENBLAS_NUM_THREADS=1 and =2

@@ -175,9 +175,9 @@ def test_support_reduction_keeps_objective_and_mass(z0):
     for _ in range(50):
         _, B, _, scores = work.scores_state(M)
         w, M, B = opm._try_mult(work, w, B, scores)
-    L, B, y, scores = work.scores_state(M)
+    L, B, y, _ = work.scores_state(M)
     assert np.count_nonzero(w) > 2 * n + 3
-    reduced = opm._reduce_support(work, w, M, L, B, y, int(np.argmax(scores)))
+    reduced = opm._reduce_support(work, w, M, L, B, y)
     assert reduced is not None
     w_red = reduced[0]
     _, B_red, _ = work.core_state(work.moment_matrix(w_red))
