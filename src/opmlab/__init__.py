@@ -74,7 +74,7 @@ from .szego import (
 
 __version__ = "0.1.0"
 
-# numpy.linalg and scipy.linalg are loaded by now; see `_blas` for why.
+# numpy.linalg, opmlab's only BLAS, is loaded by now; see `_blas` for why.
 _blas.pin_single_thread()
 
 __all__ = [

@@ -1,11 +1,14 @@
 """Pin the process's OpenBLAS thread pools to one thread.
 
-The numpy and scipy wheels each bundle their own OpenBLAS, and each pool
-starts one thread per core.  opmlab's matrices are small (a few thousand
-rows by at most a few dozen columns): there BLAS threads only cost time, and
-the threaded reductions make results depend on the thread count.  So
-`opmlab` caps every loaded pool at one thread when it is imported, which also
-keeps outputs byte-identical whatever OPENBLAS_NUM_THREADS says.
+opmlab's linear algebra is numpy's, and the numpy wheel bundles its own
+OpenBLAS (its symbols carry the `scipy_openblas` prefix of that build), whose
+pool starts one thread per core.  opmlab's matrices are small (a few
+thousand rows by at most a few dozen columns): there BLAS threads only cost
+time, and the threaded reductions make results depend on the thread count.
+So `opmlab` caps every loaded pool at one thread when it is imported, which
+also keeps outputs byte-identical whatever OPENBLAS_NUM_THREADS says.  A
+pool loaded later, such as scipy's when scipy.linalg is imported after
+opmlab, is not capped, but opmlab never calls it.
 
 Loaded libraries are found through /proc/self/maps, so the cap applies on
 Linux; where no OpenBLAS is found, nothing is done.

@@ -34,7 +34,7 @@ from .errors import (
     InvalidGeometry,
     OpmlabError,
 )
-from .measure import _atomic_write_text
+from .measure import _atomic_write_text, _json_num
 
 _CONFIG_ERRORS = (
     ConfigError,
@@ -73,6 +73,8 @@ class ExperimentConfig:
     output_dir: str
 
     def validate(self) -> "ExperimentConfig":
+        if not np.isfinite(self.z0):
+            raise ConfigError(f"z0: must be finite, got {self.z0!r}")
         if not self.degrees:
             raise ConfigError("degrees: list must be nonempty")
         if any(n < 1 for n in self.degrees):
@@ -273,7 +275,9 @@ def _config_from_raw(raw: dict) -> ExperimentConfig:
 
 
 def write_json(path: str, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Strict JSON: writers map non-finite numbers to null (`_json_num`), and a
+    NaN or inf that slips through raises ValueError instead of being written."""
+    _atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -290,13 +294,6 @@ def _cell(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
-
-
-def _json_num(x):
-    if x is None:
-        return None
-    x = float(x)
-    return x if np.isfinite(x) else None
 
 
 def _append_run_log(out: str, lines: list[str]) -> None:

@@ -83,8 +83,8 @@ def interval() -> CurveGeometry:
 
 def ellipse(a: float, b: float) -> CurveGeometry:
     """Ellipse with semi-axes a > b > 0; Psi(w) = (a+b)/2 * w + (a-b)/2 / w."""
-    if not (a > b > 0):
-        raise InvalidGeometry(f"ellipse requires a > b > 0, got a={a}, b={b}")
+    if not (np.inf > a > b > 0):
+        raise InvalidGeometry(f"ellipse requires finite a > b > 0, got a={a}, b={b}")
     c1 = (a + b) / 2.0
     c2 = (a - b) / 2.0
     return CurveGeometry(kind="ellipse", lead=c1, tail=(complex(c2),), axis_a=float(a), axis_b=float(b))
@@ -92,8 +92,10 @@ def ellipse(a: float, b: float) -> CurveGeometry:
 
 def laurent_curve(capacity: float, center: complex = 0.0, tail: tuple[complex, ...] = ()) -> CurveGeometry:
     """Curve given by a finite Laurent tail; Psi must be injective on |w| >= 1."""
-    if not (capacity > 0):
-        raise InvalidGeometry(f"capacity must be positive, got {capacity}")
+    if not (np.inf > capacity > 0):
+        raise InvalidGeometry(f"capacity must be positive and finite, got {capacity}")
+    if not np.all(np.isfinite([complex(center), *(complex(c) for c in tail)])):
+        raise InvalidGeometry(f"center and tail must be finite, got {center!r}, {tail!r}")
     # sufficient univalence condition on |w| >= 1: the difference quotient of
     # Psi deviates from `capacity` by at most sum k|b_k| (telescoping bound)
     margin = sum(k * abs(complex(c)) for k, c in enumerate(tail, start=1))

@@ -168,6 +168,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _json_num(x):
+    """x as a float for a JSON report, or None (null) when it is missing or not finite."""
+    if x is None:
+        return None
+    x = float(x)
+    return x if np.isfinite(x) else None
+
+
 def _atomic_write_text(path, text: str) -> None:
     """Write `text` to a temp file beside `path`, then rename it over `path`."""
     tmp = os.fspath(path) + ".tmp"

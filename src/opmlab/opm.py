@@ -20,16 +20,17 @@ share one certificate primitive (the node scores |K_n(x_i, z0)|^2):
     optimum splits an atom across adjacent nodes.
 
 Before each Newton round the support is reduced without changing B.  With
-L the Cholesky factor of M, y = M^{-1} c, k_i = u_i^H y and G the matrix
-with columns L^{-1} u_i k_i, the weight Hessian is 2 Re(G^H G), and a weight
-change d with G d = 0 gives (M + dM) y = M y = c: y, B and every node score
-stay exactly as they were.  If also sum(d) = 0 the mass stays too.  Stepping
-along such directions to a weight boundary (a Caratheodory reduction) leaves
-at most rank([Re G; Im G; 1^T]) <= 2n + 3 nodes; a c-optimal design has an
-optimum with at most 2n + 1 atoms (n + 1 for real data).  The cell entrants
-come on top of that set, so the Newton KKT matrix may be singular; a ridge
-keeps the solve defined, and each trial step is judged by its exact change
-of B.
+L the Cholesky factor of M and Li = L^{-1} its inverse (which
+`_Work.core_state` returns, so that no triangular solve is needed),
+y = M^{-1} c, k_i = u_i^H y and G the matrix with columns Li u_i k_i, the
+weight Hessian is 2 Re(G^H G), and a weight change d with G d = 0 gives
+(M + dM) y = M y = c: y, B and every node score stay exactly as they were.
+If also sum(d) = 0 the mass stays too.  Stepping along such directions to a
+weight boundary (a Caratheodory reduction) leaves at most
+rank([Re G; Im G; 1^T]) <= 2n + 3 nodes; a c-optimal design has an optimum
+with at most 2n + 1 atoms (n + 1 for real data).  The cell entrants come on
+top of that set, so the Newton KKT matrix may be singular; a ridge keeps the
+solve defined, and each trial step is judged by its exact change of B.
 
 Each step is accepted only on certified descent, so the objective is
 nonincreasing across iterations; a reduction is not a step and leaves the
@@ -42,7 +43,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import bergman, geometry as geo, measure as msr
 from .errors import EmptySupport, NotOptimal, OpmlabError
@@ -102,18 +102,25 @@ class _Work:
         return 0.5 * (M + M.conj().T)
 
     def core_state(self, M: np.ndarray):
-        """Cholesky factor, objective, and kernel coefficient vector y = M^{-1} c."""
-        L = np.linalg.cholesky(M)
-        zc = solve_triangular(L, self.c, lower=True, check_finite=False)
+        """Inverse Cholesky factor, objective, and kernel coefficients y = M^{-1} c.
+
+        The Cholesky factorization is the positive-definiteness test (it
+        raises LinAlgError).  Its inverse Li = L^{-1} then turns every
+        triangular solve of the solver into a matrix product: M stays
+        moderately conditioned in the orthonormal basis, so the explicit
+        (n+1) x (n+1) inverse is as accurate as a substitution.
+        """
+        Li = np.linalg.inv(np.linalg.cholesky(M))
+        zc = Li @ self.c
         B = float(np.real(np.vdot(zc, zc)))
-        y = solve_triangular(L, zc, trans="C", lower=True, check_finite=False)
-        return L, B, y
+        y = Li.conj().T @ zc
+        return Li, B, y
 
     def scores_state(self, M: np.ndarray):
         """Core state plus the node scores |K_n(x_i, z0)|^2."""
-        L, B, y = self.core_state(M)
+        Li, B, y = self.core_state(M)
         scores = np.abs(self.Uc @ y) ** 2
-        return L, B, y, scores
+        return Li, B, y, scores
 
 
 def _try_mult(work: _Work, w: np.ndarray, B: float, scores: np.ndarray):
@@ -168,26 +175,27 @@ def _caratheodory(C: np.ndarray, W: np.ndarray, rank: int):
     return W
 
 
-def _reduce_support(work: _Work, w: np.ndarray, M, L, B: float, y):
+def _reduce_support(work: _Work, w: np.ndarray, M, Li, B: float, y):
     """B-neutral Caratheodory reduction of the support.
 
     Moves weight along the null space of C = [Re G; Im G; 1^T], with G the
-    columns L^{-1} u_i k_i / sqrt(B) (see the module docstring): B, y and
-    the mass stay fixed, and at most rank(C) <= 2n + 3 nodes are left.  The
-    1/sqrt(B) scaling keeps the mass row on the scale of the others, since
-    B reaches 1e33.  Large supports are first merged in 4n + 6 contiguous
-    groups that move by a common factor (recombination), so one small SVD
-    removes about half of them.  The atoms left define the cells from which
-    `_iterate` draws the entrants of the round.
+    columns Li u_i k_i / sqrt(B) and Li = L^{-1} the inverse Cholesky factor
+    of M (see the module docstring): B, y and the mass stay fixed, and at
+    most rank(C) <= 2n + 3 nodes are left.  The 1/sqrt(B) scaling keeps the
+    mass row on the scale of the others, since B reaches 1e33.  Large
+    supports are first merged in 4n + 6 contiguous groups that move by a
+    common factor (recombination), so one small SVD removes about half of
+    them.  The atoms left define the cells from which `_iterate` draws the
+    entrants of the round.
 
-    Returns (w, M, L, y) for the reduced weights, or the inputs when no node
+    Returns (w, M, Li, y) for the reduced weights, or the inputs when no node
     can be removed.  Returns None when the reduction fails: a pass removes
     nothing, the reduced moment matrix is not positive definite, or the
     recomputed B is above B by more than rounding (1e-14 relative).
     """
     # built in place: at the first round pos is the whole grid
     pos = np.flatnonzero(w)
-    G = solve_triangular(L, work.U[pos].T, lower=True, check_finite=False)
+    G = Li @ work.U[pos].T
     G *= (work.Uc @ y)[pos] / np.sqrt(B)
     C = np.ones((2 * G.shape[0] + 1, pos.size))
     C[: G.shape[0]] = G.real
@@ -196,7 +204,7 @@ def _reduce_support(work: _Work, w: np.ndarray, M, L, B: float, y):
     sv = np.linalg.svd(C, compute_uv=False)
     rank = int(np.count_nonzero(sv > 1e-12 * sv[0]))
     if pos.size <= rank:
-        return w, M, L, y
+        return w, M, Li, y
     wp = w[pos]
     live = np.arange(pos.size)
     groups = 2 * C.shape[0]
@@ -218,12 +226,12 @@ def _reduce_support(work: _Work, w: np.ndarray, M, L, B: float, y):
     w_red[pos] = wp / wp.sum()
     M_red = work.moment_matrix(w_red)
     try:
-        L_red, B_red, y_red = work.core_state(M_red)
+        Li_red, B_red, y_red = work.core_state(M_red)
     except np.linalg.LinAlgError:
         return None
     if B_red > B * (1.0 + 1e-14):
         return None
-    return w_red, M_red, L_red, y_red
+    return w_red, M_red, Li_red, y_red
 
 
 def _cell_entrants(nodes: np.ndarray, w: np.ndarray, scores: np.ndarray, threshold: float):
@@ -242,18 +250,19 @@ def _cell_entrants(nodes: np.ndarray, w: np.ndarray, scores: np.ndarray, thresho
     return cand[order][np.r_[True, cell[1:] != cell[:-1]]]
 
 
-def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float, on_step):
+def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, on_step):
     """Equality-constrained Newton on the weights of the node subset `idx`.
 
-    With G = Z diag(k), Z = L^{-1} U_idx^T and k_i = u_i^H M^{-1} c, the
-    weight Hessian is H = 2 Re(G^H G).  Directions with G d = 0 and
-    sum(d) = 0 leave M^{-1} c, and so B, exactly unchanged, and they make
-    the KKT matrix singular.  `_reduce_support` removes them from the
-    support, but the zero-weight entrants of an exchange round can bring
-    them back, so `idx` may exceed rank([Re G; Im G; 1^T]) and the
-    quadratic model then has no unique minimizer.  The 1e-12 ridge keeps
-    the KKT solve defined, and the step stays safe because every trial is
-    judged by its exact change of B and accepted only on descent.
+    With Li = L^{-1} the inverse Cholesky factor of M, G = Z diag(k),
+    Z = Li U_idx^T and k_i = u_i^H M^{-1} c, the weight Hessian is
+    H = 2 Re(G^H G).  Directions with G d = 0 and sum(d) = 0 leave M^{-1} c,
+    and so B, exactly unchanged, and they make the KKT matrix singular.
+    `_reduce_support` removes them from the support, but the zero-weight
+    entrants of an exchange round can bring them back, so `idx` may exceed
+    rank([Re G; Im G; 1^T]) and the quadratic model then has no unique
+    minimizer.  The 1e-12 ridge keeps the KKT solve defined, and the step
+    stays safe because every trial is judged by its exact change of B and
+    accepted only on descent.
 
     `idx` may hold nodes at zero weight (the entrants).  Each stays in the
     solve while its KKT step is nonnegative; those whose step is negative
@@ -278,7 +287,7 @@ def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float, on_step):
         sc = np.abs(k) ** 2
         if sc.max() / B - 1.0 <= 0.25 * gap_tol:
             break
-        Z = solve_triangular(L, Us.T, lower=True, check_finite=False)
+        Z = Li @ Us.T
         S2 = Z.conj().T @ Z
         H = 2.0 * np.real(np.conj(k)[:, None] * S2 * k[None, :])
         kkt = np.zeros((s + 1, s + 1))
@@ -311,13 +320,13 @@ def _newton_solve(work: _Work, w, M, L, B, y, idx, gap_tol: float, on_step):
             w_try /= w_try.sum()
             M_try = work.moment_matrix(w_try)
             try:
-                L_try, _, y_try = work.core_state(M_try)
+                Li_try, _, y_try = work.core_state(M_try)
             except np.linalg.LinAlgError:
                 t *= 0.5
                 continue
             dB = float((v - w[idx]) @ (B - np.real(np.conj(k) * (Us.conj() @ y_try))))
             if dB < 0.0:
-                w, M, L, B, y = w_try, M_try, L_try, B + dB, y_try
+                w, M, Li, B, y = w_try, M_try, Li_try, B + dB, y_try
                 accepted = True
                 steps += 1
                 on_step(B)
@@ -422,7 +431,7 @@ def _iterate(
     M = work.moment_matrix(w)
     while True:
         try:
-            L, B, y, scores = work.scores_state(M)
+            Li, B, y, scores = work.scores_state(M)
         except np.linalg.LinAlgError:
             return "numerical", best_w, it
         if trace_vals is not None and not trace_vals:
@@ -448,16 +457,16 @@ def _iterate(
         it_round = it
 
         try:
-            reduced = _reduce_support(work, w, M, L, B, y)
+            reduced = _reduce_support(work, w, M, Li, B, y)
         except np.linalg.LinAlgError:
             reduced = None
         if reduced is None:
             return "numerical", best_w, it
-        w, M, L, y = reduced
+        w, M, Li, y = reduced
         # the max-score node is in the support or heads its own cell
         entrants = _cell_entrants(work.nodes, w, scores, B * (1.0 + 0.25 * gap_tol))
         idx = np.union1d(np.flatnonzero(w), entrants)
-        w, M, _ = _newton_solve(work, w, M, L, B, y, idx, gap_tol, step_taken)
+        w, M, _ = _newton_solve(work, w, M, Li, B, y, idx, gap_tol, step_taken)
 
 
 def _finalize(work: _Work, w: np.ndarray, status: str, gap_tol: float):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bergman, geometry as geo
 from .errors import CurveRequired, NotSzegoClass, TooCloseToBoundary
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, _json_num
 
 _DENSITY_FLOOR = 1e-12
 _RADIUS_LIMIT = 0.99
@@ -122,8 +122,8 @@ class SzegoEvaluation:
     def to_json_obj(self) -> dict:
         return {
             "point": [self.point.real, self.point.imag],
-            "szego_value": [self.szego_value.real, self.szego_value.imag],
-            "lambda_inf": self.lambda_inf,
+            "szego_value": [_json_num(self.szego_value.real), _json_num(self.szego_value.imag)],
+            "lambda_inf": _json_num(self.lambda_inf),
         }
 
 
@@ -154,9 +154,9 @@ class OptimalityReport:
             "w0": [self.w0.real, self.w0.imag],
             "trials": self.trials,
             "seed": self.seed,
-            "max_lambda": self.max_lambda,
-            "poisson_lambda": self.poisson_lambda,
-            "violations": self.violations,
+            "max_lambda": _json_num(self.max_lambda),
+            "poisson_lambda": _json_num(self.poisson_lambda),
+            "violations": [{**v, "lambda": _json_num(v["lambda"])} for v in self.violations],
         }
 
 
@@ -174,8 +174,8 @@ def verify_circle_optimality(
     not depend on evaluation order.  A trial violates unless its lambda_inf
     is at most the Poisson value plus 1e-6 (so a NaN violates), or if it
     ties the Poisson value within 1e-6 without matching the Poisson density
-    pointwise.  `densities` substitutes explicit trial densities for the
-    random family.
+    pointwise.  `max_lambda` is NaN when any trial's lambda_inf is.
+    `densities` substitutes explicit trial densities for the random family.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -183,7 +183,7 @@ def verify_circle_optimality(
     pois = poisson_density(w0, m)
     lam_pois = szego_function(pois, w0).lambda_inf
     violations = []
-    max_lambda = -np.inf
+    lams = []
     for i in range(trials):
         if densities is not None:
             f = densities[i % len(densities)]
@@ -192,7 +192,7 @@ def verify_circle_optimality(
         else:
             f = random_density(m, np.random.default_rng(seed + i))
         lam = szego_function(f, w0).lambda_inf
-        max_lambda = max(max_lambda, lam)
+        lams.append(lam)
         if not lam <= lam_pois + _EQUALITY_TOL:
             violations.append(
                 {"trial": i, "kind": "exceeds_poisson", "lambda": float(lam)}
@@ -210,7 +210,7 @@ def verify_circle_optimality(
         w0=w0,
         trials=trials,
         seed=seed,
-        max_lambda=float(max_lambda),
+        max_lambda=float(np.max(lams)),
         poisson_lambda=float(lam_pois),
         violations=violations,
     )

@@ -27,13 +27,12 @@ class CheckResult:
     detail: str
 
     def to_json_obj(self) -> dict:
-        observed = float(self.observed)
         return {
             "name": self.name,
             "passed": bool(self.passed),
             "asserted": bool(self.asserted),
             "tolerance": float(self.tolerance),
-            "observed": observed if np.isfinite(observed) else None,
+            "observed": msr._json_num(self.observed),
             "detail": self.detail,
         }
 

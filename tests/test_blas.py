@@ -9,22 +9,28 @@ import pytest
 import opmlab
 
 # Runs in a fresh interpreter; reads the pools' thread counts without opmlab's help.
+# The pools mapped after `import numpy` alone are numpy's own.
 PROBE = r"""
-import ctypes, json, os
+import ctypes, json
+
+def openblas_paths():
+    with open("/proc/self/maps") as fh:
+        fields = [line.split(maxsplit=5) for line in fh]
+    return sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
+
+import numpy
+numpy_pools = openblas_paths()
 import opmlab
 getters = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
            "openblas_get_num_threads")
-with open("/proc/self/maps") as fh:
-    fields = [line.split(maxsplit=5) for line in fh]
-paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
 threads = {}
-for path in paths:
+for path in openblas_paths():
     lib = ctypes.CDLL(path)
     getter = next(getattr(lib, name) for name in getters if hasattr(lib, name))
     getter.argtypes = []
     getter.restype = ctypes.c_int
-    threads[os.path.basename(path)] = getter()
-print(json.dumps(threads))
+    threads[path] = getter()
+print(json.dumps({"numpy": numpy_pools, "threads": threads}))
 """
 
 
@@ -36,18 +42,30 @@ def _numpy_uses_openblas() -> bool:
     return "openblas" in str(blas.get("name", "")).lower()
 
 
-@pytest.mark.skipif(not _numpy_uses_openblas(), reason="numpy is not built against OpenBLAS")
-def test_import_pins_every_openblas_pool_to_one_thread():
+def _run_fresh(code: str, **env) -> str:
+    """Run `code` in a fresh interpreter that imports this checkout's opmlab; return stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(opmlab.__file__)))
-    env = dict(
-        os.environ,
-        OPENBLAS_NUM_THREADS="2",
-        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env)
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    threads = json.loads(proc.stdout.splitlines()[-1])
-    assert len(threads) >= 2, threads  # numpy's and scipy's own pools
-    assert set(threads.values()) == {1}, threads
+    return proc.stdout
+
+
+@pytest.mark.skipif(not _numpy_uses_openblas(), reason="numpy is not built against OpenBLAS")
+def test_import_pins_every_openblas_pool_to_one_thread():
+    probe = json.loads(_run_fresh(PROBE, OPENBLAS_NUM_THREADS="2").splitlines()[-1])
+    threads = probe["threads"]
+    assert probe["numpy"], threads  # numpy's own pool is loaded ...
+    assert set(probe["numpy"]) <= set(threads), probe
+    assert set(threads.values()) == {1}, threads  # ... and every loaded pool runs one thread
+
+
+def test_import_loads_no_scipy():
+    """opmlab's start-up cost is numpy's: neither the package nor its CLI imports scipy."""
+    out = _run_fresh(
+        "import sys, opmlab, opmlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert out.strip() == "[]", out

@@ -61,6 +61,8 @@ class TestConfig:
             cli.load_config(None, {"degrees": [30], "grid_size": 100})
         with pytest.raises(ConfigError, match="gap_tol"):
             cli.load_config(None, {"gap_tol": 0.5})
+        with pytest.raises(ConfigError, match="z0"):
+            cli.load_config(None, {"z0": "nan"})
 
     def test_unknown_field_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -202,6 +204,29 @@ class TestSzegoCommand:
         rep = json.loads((out / "szego_report.json").read_text())
         assert rep["optimality"]["violations"] == []
         assert rep["poisson_evaluation"]["lambda_inf"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_nan_lambda_fails_and_is_written_as_null(self, tmp_path, monkeypatch):
+        """One NaN trial lambda fails the sweep, makes max_lambda NaN, and reaches the
+        report as null, not as a bare NaN token."""
+        true_fn = szego.szego_function
+        calls = itertools.count(1)
+
+        def nan_on_seventh_call(f, z):  # call 1 is the Poisson density, call 7 trial 5
+            ev = true_fn(f, z)
+            return dataclasses.replace(ev, lambda_inf=float("nan")) if next(calls) == 7 else ev
+
+        monkeypatch.setattr("opmlab.szego.szego_function", nan_on_seventh_call)
+        out = tmp_path / "sz"
+        assert run("szego", "--z0", "2,0", "--seed", "0", "--out", str(out)) == 1
+        text = (out / "szego_report.json").read_text()
+        assert "NaN" not in text
+        rep = json.loads(text)["optimality"]
+        assert rep["max_lambda"] is None
+        assert rep["violations"] == [{"trial": 5, "kind": "exceeds_poisson", "lambda": None}]
+
+    def test_write_json_refuses_non_finite_numbers(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.write_json(str(tmp_path / "x.json"), {"x": float("nan")})
 
 
 class TestVerifyCommand:

@@ -31,6 +31,15 @@ def test_invalid_shapes_rejected():
     # tail heavy enough to destroy univalence of psi
     with pytest.raises(InvalidGeometry):
         geo.laurent_curve(1.0, 0.0, (0.0, 2.0))
+    # non-finite parameters would reach the JSON reports as NaN or inf
+    for bad in (
+        lambda: geo.ellipse(np.inf, 1.0),
+        lambda: geo.laurent_curve(np.inf),
+        lambda: geo.laurent_curve(1.0, complex(np.nan, 0.0)),
+        lambda: geo.laurent_curve(1.0, 0.0, (complex(0.1, np.nan),)),
+    ):
+        with pytest.raises(InvalidGeometry):
+            bad()
 
 
 def test_circle_maps_are_identity():

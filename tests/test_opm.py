@@ -175,9 +175,9 @@ def test_support_reduction_keeps_objective_and_mass(z0):
     for _ in range(50):
         _, B, _, scores = work.scores_state(M)
         w, M, B = opm._try_mult(work, w, B, scores)
-    L, B, y, _ = work.scores_state(M)
+    Li, B, y, _ = work.scores_state(M)
     assert np.count_nonzero(w) > 2 * n + 3
-    reduced = opm._reduce_support(work, w, M, L, B, y)
+    reduced = opm._reduce_support(work, w, M, Li, B, y)
     assert reduced is not None
     w_red = reduced[0]
     _, B_red, _ = work.core_state(work.moment_matrix(w_red))
@@ -185,6 +185,25 @@ def test_support_reduction_keeps_objective_and_mass(z0):
     assert abs(w_red.sum() - 1.0) <= 1e-14
     assert np.all(w_red >= 0.0)
     assert np.count_nonzero(w_red) <= 2 * n + 3
+
+
+def test_core_state_inverse_factor_matches_a_dense_solve():
+    """B and y from the inverse Cholesky factor agree with a dense solve; an
+    indefinite matrix raises."""
+    n = 30
+    work = opm._Work(SEGMENT_GRID, 2.0, n)
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
+    M = A @ A.conj().T / (n + 1) + np.eye(n + 1)  # condition number about 8, as in a solve
+    Li, B, y = work.core_state(M)
+    y_ref = np.linalg.solve(M, work.c)
+    B_ref = float(np.real(np.vdot(work.c, y_ref)))
+    assert np.linalg.norm(y - y_ref) <= 1e-13 * np.linalg.norm(y_ref)
+    assert abs(B / B_ref - 1.0) <= 1e-13
+    assert np.linalg.norm(Li @ M @ Li.conj().T - np.eye(n + 1)) <= 1e-13 * (n + 1)
+    M[0, 0] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        work.core_state(M)
 
 
 @pytest.mark.parametrize(
