@@ -12,7 +12,6 @@ from . import _blas, bergman, geometry, measure, opm, szego, verify
 from .bergman import (
     BergmanEvaluation,
     bergman_function,
-    extremal_growth_polynomial,
     tilde_monotonicity_defect,
 )
 from .errors import (
@@ -23,7 +22,6 @@ from .errors import (
     InsideDomain,
     InvalidGeometry,
     NoConvergence,
-    NotOptimal,
     NotSzegoClass,
     OpmlabError,
     RankDeficient,
@@ -36,7 +34,6 @@ from .geometry import (
     exterior_map,
     faber_asymptotic_deviation,
     faber_polynomials,
-    green_function,
     interval,
     laurent_curve,
     level_curve_nodes,
@@ -54,11 +51,9 @@ from .measure import (
 from .opm import (
     ConvergenceRow,
     OpmSolution,
-    SupportReport,
     certificate_gap,
     convergence_study,
     solve_opm,
-    support_diagnostic,
 )
 from .szego import (
     CircleDensity,
@@ -91,13 +86,11 @@ __all__ = [
     "InsideDomain",
     "InvalidGeometry",
     "NoConvergence",
-    "NotOptimal",
     "NotSzegoClass",
     "OpmSolution",
     "OpmlabError",
     "OptimalityReport",
     "RankDeficient",
-    "SupportReport",
     "SzegoEvaluation",
     "TooCloseToBoundary",
     "balayage_point_mass",
@@ -108,11 +101,9 @@ __all__ = [
     "discretize_boundary",
     "ellipse",
     "exterior_map",
-    "extremal_growth_polynomial",
     "faber_asymptotic_deviation",
     "faber_polynomials",
     "geometry",
-    "green_function",
     "holomorphic_moments",
     "interval",
     "laurent_curve",
@@ -123,7 +114,6 @@ __all__ = [
     "poisson_density",
     "pushforward",
     "solve_opm",
-    "support_diagnostic",
     "szego",
     "szego_function",
     "szego_function_raw",

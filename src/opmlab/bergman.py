@@ -29,10 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import CurveRequired, NotOptimal, RankDeficient
+from .errors import CurveRequired, RankDeficient
 from .measure import DiscreteMeasure
-
-_GAP_GUARD = 1e-2  # diagnostics demanding near-optimality refuse beyond this
 
 
 @dataclass(frozen=True)
@@ -89,27 +87,21 @@ def factorize(mu: DiscreteMeasure, n: int) -> _Factor:
     return factor_nodes(mu.nodes[keep], mu.weights[keep], n)
 
 
-def _recurrence(fac: _Factor, start: np.ndarray, times_z, n: int) -> np.ndarray:
-    """Rows q_0..q_n by the Hessenberg recurrence from q_0 = start.
-
-    `times_z` multiplies one row by z: pointwise for values at points, a
-    shift for monomial coefficients.
-    """
-    out = np.empty((n + 1, start.size), dtype=complex)
-    out[0] = start
-    H = fac.H
-    for k in range(n):
-        out[k + 1] = (times_z(out[k]) - H[: k + 1, k] @ out[: k + 1]) / H[k + 1, k]
-    return out
-
-
 def _features(fac: _Factor, zs: np.ndarray, degree: int | None = None) -> np.ndarray:
-    """Columns y(z) = (q_0(z), ..., q_n(z)), so K(z, u) = y(u)^H y(z); n defaults to the factor's."""
+    """Columns y(z) = (q_0(z), ..., q_n(z)), so K(z, u) = y(u)^H y(z); n defaults to the factor's.
+
+    Rows come from the Hessenberg recurrence z q_k = sum_{j<=k+1} H[j,k] q_j.
+    """
     n = fac.degree if degree is None else degree
     if n > fac.degree:
         raise ValueError(f"factor holds degree {fac.degree}, requested {n}")
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    return _recurrence(fac, np.full(zs.size, fac.q0, dtype=complex), lambda q: zs * q, n)
+    out = np.empty((n + 1, zs.size), dtype=complex)
+    out[0] = fac.q0
+    H = fac.H
+    for k in range(n):
+        out[k + 1] = (zs * out[k] - H[: k + 1, k] @ out[: k + 1]) / H[k + 1, k]
+    return out
 
 
 def bergman_value(fac: _Factor, z: complex, degree: int | None = None) -> float:
@@ -158,37 +150,6 @@ def bergman_function(
         tilde_bergman=tilde_b,
         tilde_christoffel=tilde_c,
     )
-
-
-def grid_gap(fac: _Factor, z0: complex, grid: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Normalized certificate max_x |K(x,z0)|^2 / B(z0) - 1, plus |K| and B."""
-    y0 = _features(fac, np.asarray([z0]))[:, 0]
-    B = float(np.real(np.vdot(y0, y0)))
-    kabs = np.abs(np.conj(y0) @ _features(fac, grid))
-    gap = float(kabs.max() ** 2 / B - 1.0)
-    return gap, kabs, B
-
-
-def extremal_growth_polynomial(
-    nu: DiscreteMeasure, n: int, z0: complex, grid: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Normalized kernel section p_n = K_n(., z0)/max_grid |K_n(., z0)|.
-
-    Returns the monomial coefficients of p_n (ascending powers of z) and
-    M_n = |p_n(z0)|.  Requires nu to be near-optimal for z0 on the grid.
-    """
-    fac = factorize(nu, n)
-    gap, kabs, B = grid_gap(fac, z0, np.asarray(grid, dtype=complex))
-    if gap > _GAP_GUARD:
-        raise NotOptimal(f"certificate gap {gap:.3e} exceeds {_GAP_GUARD}")
-    kmax = float(kabs.max())
-    M = B / kmax
-    y0 = _features(fac, np.asarray([z0]))[:, 0]
-    start = np.zeros(fac.degree + 1, dtype=complex)
-    start[0] = fac.q0
-    # z times a polynomial of degree < n shifts its coefficients up by one
-    coeffs = _recurrence(fac, start, lambda c: np.roll(c, 1), fac.degree)
-    return np.conj(y0) @ coeffs / kmax, M
 
 
 def tilde_monotonicity_defect(

@@ -96,20 +96,6 @@ class ExperimentConfig:
             raise ConfigError(f"szego_trials: must be >= 1, got {self.szego_trials}")
         return self
 
-    def to_json_obj(self) -> dict:
-        return {
-            "geometry": geometry_to_obj(self.geometry),
-            "z0": [self.z0.real, self.z0.imag],
-            "degrees": list(self.degrees),
-            "grid_size": self.grid_size,
-            "gap_tol": self.gap_tol,
-            "max_iters": self.max_iters,
-            "szego_grid": self.szego_grid,
-            "szego_trials": self.szego_trials,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
-
 
 def geometry_to_obj(g: geo.CurveGeometry) -> dict:
     if g.kind == "circle":
@@ -179,6 +165,16 @@ def _complex_from_obj(obj, label: str) -> complex:
     raise ConfigError(f"{label}: expected number, 're,im' string, or [re, im] pair")
 
 
+def _int_from_obj(obj, label: str) -> int:
+    """An integer field; booleans and fractional numbers are refused, not truncated."""
+    if isinstance(obj, bool) or (isinstance(obj, float) and not obj.is_integer()):
+        raise ConfigError(f"{label}: expected an integer, got {obj!r}")
+    try:
+        return int(obj)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{label}: expected an integer, got {obj!r}") from None
+
+
 def parse_complex(text: str, label: str = "z0") -> complex:
     parts = str(text).strip().split(",")
     try:
@@ -193,10 +189,7 @@ def parse_complex(text: str, label: str = "z0") -> complex:
 
 def parse_degrees(spec, label: str = "degrees") -> tuple[int, ...]:
     if isinstance(spec, (list, tuple)):
-        try:
-            return tuple(int(x) for x in spec)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{label}: non-integer entry in {spec!r}") from None
+        return tuple(_int_from_obj(x, label) for x in spec)
     text = str(spec).strip()
     if ".." in text:
         head, _, tail = text.partition("..")
@@ -234,35 +227,18 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value
-    return _config_from_raw(raw)
-
-
-def config_from_json_obj(obj: dict) -> ExperimentConfig:
-    """Round-trip partner of ExperimentConfig.to_json_obj."""
-    unknown = set(obj) - set(_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"config: unknown field {sorted(unknown)[0]!r}")
-    return _config_from_raw({**_DEFAULTS, **obj})
-
-
-def _config_from_raw(raw: dict) -> ExperimentConfig:
-    """Parse and validate a complete field dict (every key of _DEFAULTS)."""
-    geometry = (
-        raw["geometry"]
-        if isinstance(raw["geometry"], geo.CurveGeometry)
-        else geometry_from_obj(raw["geometry"])
-    )
+    geometry = geometry_from_obj(raw["geometry"])
     try:
         cfg = ExperimentConfig(
             geometry=geometry,
             z0=_complex_from_obj(raw["z0"], "z0"),
             degrees=parse_degrees(raw["degrees"]),
-            grid_size=int(raw["grid_size"]),
+            grid_size=_int_from_obj(raw["grid_size"], "grid_size"),
             gap_tol=float(raw["gap_tol"]),
-            max_iters=int(raw["max_iters"]),
-            szego_grid=int(raw["szego_grid"]),
-            szego_trials=int(raw["szego_trials"]),
-            seed=int(raw["seed"]),
+            max_iters=_int_from_obj(raw["max_iters"], "max_iters"),
+            szego_grid=_int_from_obj(raw["szego_grid"], "szego_grid"),
+            szego_trials=_int_from_obj(raw["szego_trials"], "szego_trials"),
+            seed=_int_from_obj(raw["seed"], "seed"),
             output_dir=str(raw["output_dir"]),
         )
     except (TypeError, ValueError) as exc:

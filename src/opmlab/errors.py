@@ -33,10 +33,6 @@ class RankDeficient(OpmlabError):
     """Too few support points for the requested polynomial degree."""
 
 
-class NotOptimal(OpmlabError):
-    """A diagnostic requiring a near-optimal solution got one that is not."""
-
-
 class TooCloseToBoundary(OpmlabError):
     """Szego evaluation point too close to the unit circle."""
 

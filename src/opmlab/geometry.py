@@ -151,17 +151,6 @@ def psi_prime(geom: CurveGeometry, w):
     return d
 
 
-def inverse_map(geom: CurveGeometry, w) -> complex | np.ndarray:
-    """Psi(w) with the analytic-continuation collar enforced."""
-    r = np.min(np.abs(np.asarray(w)))
-    if r < geom.inner_radius * (1.0 - 1e-12) or r == 0.0 and geom.kind != "circle":
-        raise DomainViolation(
-            f"|w| = {r:.6g} is below the univalence radius {geom.inner_radius:.6g}"
-        )
-    out = psi(geom, w)
-    return complex(out) if out.ndim == 0 else out
-
-
 def exterior_map(geom: CurveGeometry, z: complex) -> complex:
     """Phi(z): the conformal coordinate of z in the exterior of the unit disk."""
     w = phi_array(geom, np.asarray([z], dtype=complex))[0]
@@ -244,11 +233,6 @@ def _check_roundtrip(geom: CurveGeometry, w: np.ndarray, z: np.ndarray) -> None:
         raise NoConvergence(f"map inversion residual {err:.3e} exceeds {_MAP_POST_TOL}")
 
 
-def green_function(geom: CurveGeometry, z: complex) -> float:
-    """Green function with pole at infinity, log|Phi(z)|; zero on the boundary."""
-    return float(np.log(abs(exterior_map(geom, z))))
-
-
 def level_curve_nodes(geom: CurveGeometry, r: float, m: int) -> np.ndarray:
     """m samples Psi(r * e^{2*pi*i*j/m}), j = 0..m-1."""
     if m < 1:
@@ -267,10 +251,6 @@ class FaberTable:
 
     capacity: float
     rows: tuple = field(repr=False)
-
-    @property
-    def degree_max(self) -> int:
-        return len(self.rows) - 1
 
     def coefficients(self, n: int) -> np.ndarray:
         return self.rows[n]

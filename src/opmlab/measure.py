@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -205,19 +204,3 @@ def load_csv(path) -> DiscreteMeasure:
             nodes.append(complex(float(row[0]), float(row[1])))
             weights.append(float(row[2]))
     return DiscreteMeasure(np.array(nodes), np.array(weights))
-
-
-def to_json_obj(mu: DiscreteMeasure) -> list:
-    return [[float(x.real), float(x.imag), float(w)] for x, w in zip(mu.nodes, mu.weights)]
-
-
-def save_json(mu: DiscreteMeasure, path) -> None:
-    _atomic_write_text(path, json.dumps(to_json_obj(mu)))
-
-
-def load_json(path) -> DiscreteMeasure:
-    with open(path) as fh:
-        triples = json.load(fh)
-    nodes = np.array([complex(t[0], t[1]) for t in triples])
-    weights = np.array([t[2] for t in triples])
-    return DiscreteMeasure(nodes, weights)

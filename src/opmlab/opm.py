@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bergman, geometry as geo, measure as msr
-from .errors import EmptySupport, NotOptimal, OpmlabError
+from .errors import EmptySupport, OpmlabError
 from .measure import DiscreteMeasure
 
 _WEIGHT_FLOOR = 1e-8
@@ -465,7 +465,9 @@ def _iterate(
         w, M, Li, y = reduced
         # the max-score node is in the support or heads its own cell
         entrants = _cell_entrants(work.nodes, w, scores, B * (1.0 + 0.25 * gap_tol))
-        idx = np.union1d(np.flatnonzero(w), entrants)
+        keep = w != 0.0  # a mask, not np.union1d, which imports numpy.ma (~19 ms)
+        keep[entrants] = True
+        idx = np.flatnonzero(keep)
         w, M, _ = _newton_solve(work, w, M, Li, B, y, idx, gap_tol, step_taken)
 
 
@@ -503,41 +505,8 @@ def certificate_gap(mu: DiscreteMeasure, z0: complex, n: int, grid: np.ndarray) 
     grid-optimal prediction measure, where equality holds on the support.
     """
     fac = bergman.factorize(mu, n)
-    gap, _, _ = bergman.grid_gap(fac, z0, np.asarray(grid, dtype=complex))
-    return gap
-
-
-@dataclass(frozen=True)
-class SupportReport:
-    """How close support nodes sit to the max-modulus set of the extremal polynomial."""
-
-    ratios: np.ndarray
-    max_deviation: float
-    gap: float
-    support: np.ndarray
-
-
-def support_diagnostic(
-    sol: OpmSolution, grid: np.ndarray, tau: float = _WEIGHT_FLOOR
-) -> SupportReport:
-    """Ratios |p_n(node)| / max_grid |p_n| over support nodes carrying weight > tau."""
-    if sol.certificate_gap > bergman._GAP_GUARD:
-        raise NotOptimal(f"solution gap {sol.certificate_gap:.3e} exceeds {bergman._GAP_GUARD}")
-    mu = sol.measure
-    keep = mu.weights > tau
-    if not np.any(keep):
-        raise EmptySupport(f"no support node carries weight above tau = {tau}")
-    fac = bergman.factorize(mu, sol.degree)
-    grid = np.asarray(grid, dtype=complex)
-    kabs_grid = np.abs(bergman.kernel_values(fac, grid, sol.point))
-    kabs_sup = np.abs(bergman.kernel_values(fac, mu.nodes[keep], sol.point))
-    ratios = kabs_sup / kabs_grid.max()
-    return SupportReport(
-        ratios=ratios,
-        max_deviation=float(1.0 - ratios.min()),
-        gap=sol.certificate_gap,
-        support=np.flatnonzero(keep),
-    )
+    kabs = np.abs(bergman.kernel_values(fac, grid, z0))
+    return float(kabs.max() ** 2 / bergman.bergman_value(fac, z0) - 1.0)
 
 
 @dataclass(frozen=True)

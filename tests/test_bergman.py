@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opmlab import bergman, geometry as geo, measure as msr
-from opmlab.errors import CurveRequired, NotOptimal, RankDeficient
+from opmlab.errors import CurveRequired, RankDeficient
 
 
 def gs_bergman(mu, n, z):
@@ -117,29 +117,6 @@ def test_reflection_identity_random_circle_measures():
         lhs = abs(z) ** (2 * n) / B_out
         rhs = 1.0 / B_in
         assert lhs == pytest.approx(rhs, rel=1e-8)
-
-
-def test_extremal_polynomial_normalization():
-    g = geo.ellipse(2.0, 1.0)
-    grid = msr.discretize_boundary(g, 660)
-    from opmlab import opm
-
-    sol = opm.solve_opm(grid, 3.0, 6, gap_tol=1e-7)
-    coeffs, M = bergman.extremal_growth_polynomial(sol.measure, 6, 3.0, grid)
-    vals = np.polyval(coeffs[::-1], grid)
-    assert np.abs(vals).max() == pytest.approx(1.0, rel=1e-9)
-    p_at_z0 = np.polyval(coeffs[::-1], 3.0)
-    assert abs(p_at_z0) == pytest.approx(M, rel=1e-9)
-    # minimax sandwich: M^2 equals the objective up to the certificate gap
-    assert M**2 == pytest.approx(sol.objective, rel=3.0 * max(sol.certificate_gap, 1e-9))
-
-
-def test_extremal_polynomial_requires_near_optimality():
-    g = geo.ellipse(2.0, 1.0)
-    grid = msr.discretize_boundary(g, 200)
-    mu = msr.uniform_measure(grid)
-    with pytest.raises(NotOptimal):
-        bergman.extremal_growth_polynomial(mu, 8, 3.0, grid)
 
 
 def test_tilde_monotonicity_circle_exact():

@@ -50,9 +50,15 @@ class TestParsers:
 
 class TestConfig:
     def test_round_trip_identity(self):
-        cfg = cli.load_config(None, {"geometry": {"kind": "ellipse", "a": 2.0, "b": 1.0}, "z0": [3.0, 0.5]})
-        back = cli.config_from_json_obj(cfg.to_json_obj())
-        assert back == cfg
+        """certificate.json's geometry record reads back as a config geometry."""
+        for g in (
+            geo.unit_circle(),
+            geo.interval(),
+            geo.ellipse(2.0, 1.0),
+            geo.laurent_curve(1.1, 0.3 - 0.2j, (0.0, 0.12, 0.04j)),
+        ):
+            obj = json.loads(json.dumps(cli.geometry_to_obj(g)))
+            assert cli.geometry_from_obj(obj) == g
 
     def test_validation_messages_name_fields(self):
         with pytest.raises(ConfigError, match="degrees"):
@@ -63,6 +69,19 @@ class TestConfig:
             cli.load_config(None, {"gap_tol": 0.5})
         with pytest.raises(ConfigError, match="z0"):
             cli.load_config(None, {"z0": "nan"})
+        # integer fields refuse fractional numbers and booleans rather than truncate them
+        for field, value in (
+            ("degrees", [2.7, 3.9]),
+            ("degrees", [True, 3]),
+            ("grid_size", 700.9),
+            ("max_iters", 20000.5),
+            ("szego_grid", True),
+            ("szego_trials", 200.5),
+            ("seed", True),
+            ("seed", 1.5),
+        ):
+            with pytest.raises(ConfigError, match=field):
+                cli.load_config(None, {field: value})
 
     def test_unknown_field_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"

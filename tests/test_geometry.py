@@ -47,7 +47,7 @@ def test_circle_maps_are_identity():
     for z in (2.0, 1.5j, -3.0 + 0.25j):
         assert geo.exterior_map(g, z) == pytest.approx(z)
         assert complex(geo.psi(g, z)) == pytest.approx(z)
-    assert geo.green_function(g, 2.0) == pytest.approx(np.log(2.0))
+    assert np.log(abs(geo.exterior_map(g, 2.0))) == pytest.approx(np.log(2.0))
 
 
 @pytest.mark.parametrize(
@@ -94,7 +94,7 @@ def test_map_domain_limits():
     with pytest.raises((InsideDomain, NoConvergence)):
         geo.exterior_map(geo.laurent_curve(1.1, 0.0, (0.2,)), 0.1)
     with pytest.raises(DomainViolation):
-        geo.inverse_map(g, 0.5)
+        geo.level_curve_nodes(g, 0.5, 8)  # level below the collar of the ellipse
 
 
 def test_phi_array_matches_scalar_map():
@@ -117,10 +117,10 @@ def test_level_curve_nodes_lie_on_level_sets():
         geo.level_curve_nodes(g, 0.5, 16)
 
 
-def test_green_function_properties():
+def test_green_log_modulus_properties():
+    """The Green function log|Phi| grows like log|z| - log(capacity) and vanishes on the curve."""
     g = geo.ellipse(2.0, 1.0)
-    # harmonicity proxy: growth ~ log|z| + const far away
-    far = geo.green_function(g, 1e6) - np.log(1e6)
+    far = np.log(abs(geo.exterior_map(g, 1e6))) - np.log(1e6)
     assert far == pytest.approx(-np.log(g.capacity), abs=1e-5)
     nodes = geo.level_curve_nodes(g, 1.0, 32)
     # boundary values vanish

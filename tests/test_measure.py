@@ -136,21 +136,11 @@ def test_csv_roundtrip(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
-def test_json_roundtrip(tmp_path):
-    mu = msr.balayage_point_mass(geo.ellipse(2.0, 1.0), 3.0 - 0.5j, 23)
-    p = tmp_path / "mu.json"
-    msr.save_json(mu, p)
-    back = msr.load_json(p)
-    assert np.array_equal(back.nodes, mu.nodes)
-    assert np.array_equal(back.weights, mu.weights)
-
-
 def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     mu = msr.balayage_point_mass(geo.unit_circle(), 2.0, 37)
-    p_csv, p_json = tmp_path / "mu.csv", tmp_path / "mu.json"
+    p_csv = tmp_path / "mu.csv"
     msr.save_csv(mu, p_csv)
-    msr.save_json(mu, p_json)
-    before = p_csv.read_bytes(), p_json.read_bytes()
+    before = p_csv.read_bytes()
 
     fmt, calls = msr._fmt, []
 
@@ -160,17 +150,11 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
             raise OSError("disk full")
         return fmt(x)
 
-    def to_json_failing(mu):
-        raise OSError("disk full")
-
     monkeypatch.setattr(msr, "_fmt", fmt_failing_partway)
-    monkeypatch.setattr(msr, "to_json_obj", to_json_failing)
     other = msr.uniform_measure(msr.discretize_boundary(geo.unit_circle(), 50))
     with pytest.raises(OSError):
         msr.save_csv(other, p_csv)
-    with pytest.raises(OSError):
-        msr.save_json(other, p_json)
-    assert (p_csv.read_bytes(), p_json.read_bytes()) == before
+    assert p_csv.read_bytes() == before
 
 
 def test_load_csv_rejects_foreign_header(tmp_path):
