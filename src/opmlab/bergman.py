@@ -51,16 +51,22 @@ def factor_nodes(nodes: np.ndarray, weights: np.ndarray, n: int) -> _Factor:
     when the first cancels more than 30% of the norm (Kahan-Parlett); a
     subdiagonal H[k+1,k] below 1e-14 of the norm of z q_k means the nodes do
     not determine degree k+1.  The leading blocks serve lower degrees.
+
+    Nodes with no imaginary part (the segment) give a real factor: Q and H
+    are float64, built in real arithmetic.  Evaluation through `_features`
+    stays complex, since evaluation points need not be real.
     """
     if nodes.size < n + 1:
         raise RankDeficient(
             f"degree {n} needs at least {n + 1} support points, have {nodes.size}"
         )
+    if not np.any(np.imag(nodes)):
+        nodes = np.real(nodes)
     root_w = np.sqrt(weights)
     q0 = 1.0 / float(np.linalg.norm(root_w))
-    Q = np.empty((n + 1, nodes.size), dtype=complex)
+    Q = np.empty((n + 1, nodes.size), dtype=nodes.dtype)
     Q[0] = root_w * q0
-    H = np.zeros((n + 1, n), dtype=complex)
+    H = np.zeros((n + 1, n), dtype=nodes.dtype)
     for k in range(n):
         v = nodes * Q[k]
         Qk = Q[: k + 1]

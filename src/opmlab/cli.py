@@ -505,7 +505,9 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 def _add_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="path to a JSON config file")
     p.add_argument("--geometry", help="circle | interval | ellipse:A,B")
-    p.add_argument("--z0", help="prediction point 're' or 're,im'")
+    p.add_argument(
+        "--z0", help="prediction point 're' or 're,im'; write a negative real part as --z0=-2,0"
+    )
     p.add_argument("--degrees", help="'a..b[:step]' range or comma list")
     p.add_argument("--grid", type=int, help="boundary grid size m")
     p.add_argument("--gap-tol", type=float, help="certificate gap tolerance")

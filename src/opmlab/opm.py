@@ -28,9 +28,16 @@ weight Hessian is 2 Re(G^H G), and a weight change d with G d = 0 gives
 If also sum(d) = 0 the mass stays too.  Stepping along such directions to a
 weight boundary (a Caratheodory reduction) leaves at most
 rank([Re G; Im G; 1^T]) <= 2n + 3 nodes; a c-optimal design has an optimum
-with at most 2n + 1 atoms (n + 1 for real data).  The cell entrants come on
+with at most 2n + 1 atoms.  For real data (real nodes and real z0) G is
+real, and rank([G; 1^T]) <= n + 2 bounds the support; a real c-optimal
+design needs at most n + 1 atoms (Elfving 1952).  The cell entrants come on
 top of that set, so the Newton KKT matrix may be singular; a ridge keeps the
 solve defined, and each trial step is judged by its exact change of B.
+
+The dtype follows the data, once: real nodes give a real Arnoldi factor, so
+U, M, L and G are float64 on the segment, and c and y are too when z0 is
+real.  Every product below then runs in real arithmetic with no second code
+path; at a nonreal z0 on the segment only c, y, k and G are complex.
 
 Each step is accepted only on certified descent, so the objective is
 nonincreasing across iterations; a reduction is not a step and leaves the
@@ -83,6 +90,10 @@ class _Work:
     never evaluated again.  The moment matrix is the identity at the start
     and stays moderately conditioned along the whole weight path, which
     keeps certificate arithmetic accurate at high degree.
+
+    Real nodes give a real U, and then `Uc` is U itself rather than a
+    conjugate copy; c is real too when z0 is, so the moment matrix, its
+    Cholesky factor and the node scores are computed in real arithmetic.
     """
 
     def __init__(self, nodes: np.ndarray, z0: complex, n: int):
@@ -91,8 +102,9 @@ class _Work:
         self.n = n
         fac = bergman.factor_nodes(nodes, np.full(self.m, 1.0 / self.m), n)
         self.U = (np.sqrt(self.m) * fac.Q).T
-        self.Uc = self.U.conj()
-        self.c = bergman._features(fac, np.asarray([z0]))[:, 0]
+        self.Uc = self.U.conj()  # U itself when U is real
+        c = bergman._features(fac, np.asarray([z0]))[:, 0]
+        self.c = c.real if np.isrealobj(self.U) and complex(z0).imag == 0.0 else c
 
     def moment_matrix(self, w: np.ndarray) -> np.ndarray:
         s = np.flatnonzero(w)
@@ -181,25 +193,25 @@ def _reduce_support(work: _Work, w: np.ndarray, M, Li, B: float, y):
     Moves weight along the null space of C = [Re G; Im G; 1^T], with G the
     columns Li u_i k_i / sqrt(B) and Li = L^{-1} the inverse Cholesky factor
     of M (see the module docstring): B, y and the mass stay fixed, and at
-    most rank(C) <= 2n + 3 nodes are left.  The 1/sqrt(B) scaling keeps the
-    mass row on the scale of the others, since B reaches 1e33.  Large
-    supports are first merged in 4n + 6 contiguous groups that move by a
-    common factor (recombination), so one small SVD removes about half of
-    them.  The atoms left define the cells from which `_iterate` draws the
-    entrants of the round.
+    most rank(C) <= 2n + 3 nodes are left.  When G is real (real nodes and
+    real z0), C = [G; 1^T] has n + 2 rows and at most n + 2 nodes are left.
+    The 1/sqrt(B) scaling keeps the mass row on the scale of the others,
+    since B reaches 1e33.  Large supports are first merged in twice as many
+    contiguous groups as C has rows, each moving by a common factor
+    (recombination), so one small SVD removes about half of them.  The
+    atoms left define the cells from which `_iterate` draws the entrants of
+    the round.
 
     Returns (w, M, Li, y) for the reduced weights, or the inputs when no node
     can be removed.  Returns None when the reduction fails: a pass removes
     nothing, the reduced moment matrix is not positive definite, or the
     recomputed B is above B by more than rounding (1e-14 relative).
     """
-    # built in place: at the first round pos is the whole grid
     pos = np.flatnonzero(w)
-    G = Li @ work.U[pos].T
-    G *= (work.Uc @ y)[pos] / np.sqrt(B)
-    C = np.ones((2 * G.shape[0] + 1, pos.size))
-    C[: G.shape[0]] = G.real
-    C[G.shape[0] : -1] = G.imag
+    # not scaled in place: at a nonreal z0 on the segment Li U^T is real and k complex
+    G = (Li @ work.U[pos].T) * ((work.Uc @ y)[pos] / np.sqrt(B))
+    parts = (G.real, G.imag) if np.iscomplexobj(G) else (G,)
+    C = np.vstack((*parts, np.ones(pos.size)))
     del G
     sv = np.linalg.svd(C, compute_uv=False)
     rank = int(np.count_nonzero(sv > 1e-12 * sv[0]))
@@ -259,10 +271,10 @@ def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, on_step):
     and so B, exactly unchanged, and they make the KKT matrix singular.
     `_reduce_support` removes them from the support, but the zero-weight
     entrants of an exchange round can bring them back, so `idx` may exceed
-    rank([Re G; Im G; 1^T]) and the quadratic model then has no unique
-    minimizer.  The 1e-12 ridge keeps the KKT solve defined, and the step
-    stays safe because every trial is judged by its exact change of B and
-    accepted only on descent.
+    the rank of its C = [Re G; Im G; 1^T] (or [G; 1^T] for real G), and the
+    quadratic model then has no unique minimizer.  The 1e-12 ridge keeps the
+    KKT solve defined, and the step stays safe because every trial is judged
+    by its exact change of B and accepted only on descent.
 
     `idx` may hold nodes at zero weight (the entrants).  Each stays in the
     solve while its KKT step is nonnegative; those whose step is negative
@@ -398,8 +410,8 @@ def _iterate(
     solves the cases whose optimum keeps broad support outright (one step
     from uniform lands on the discretized balayage); it ends at the first
     rejected step or after `_WARMUP_STEPS` steps.  Exchange rounds follow:
-    a B-neutral reduction of the support to at most 2n + 3 nodes
-    (`_reduce_support`), then a Newton solve on those atoms plus one
+    a B-neutral reduction of the support to at most 2n + 3 nodes, n + 2 for
+    real data (`_reduce_support`), then a Newton solve on those atoms plus one
     zero-weight entrant per atom cell (`_cell_entrants`), among nodes
     scoring above B (1 + gap_tol / 4), the bound at which `_newton_solve`
     stops.  A round that takes no step ends the solve as stalled, because

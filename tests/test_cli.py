@@ -136,6 +136,21 @@ class TestOpmCommand:
         assert code == 2
         assert "exterior" in capsys.readouterr().err
 
+    def test_negative_real_part_is_passed_with_equals(self, tmp_path):
+        """argparse reads "-2,0" as an option, so a negative real part is written --z0=-2,0.
+
+        The grid is symmetric about 0, so x0 = -2 has the objective of x0 = 2.
+        """
+        base = ["opm", "--geometry", "interval", "--degrees", "15", "--grid", "2000"]
+        with pytest.raises(SystemExit) as exc:
+            run(*base, "--z0", "-2,0", "--out", str(tmp_path / "x"))
+        assert exc.value.code == 2
+        assert run(*base, "--z0=-2,0", "--out", str(tmp_path / "neg")) == 0
+        assert run(*base, "--z0", "2,0", "--out", str(tmp_path / "pos")) == 0
+        neg, pos = (json.loads((tmp_path / d / "certificate.json").read_text()) for d in ("neg", "pos"))
+        assert neg["status"] == pos["status"] == "converged"
+        assert abs(neg["objective"] / pos["objective"] - 1.0) <= 1e-13
+
 
 class TestConvergenceCommand:
     def test_outputs_and_determinism(self, tmp_path):
@@ -333,7 +348,16 @@ def _subprocess_env(**extra):
 
 
 def test_module_entry_point_runs_without_runtime_warning(tmp_path):
-    for argv in (["verify", "--help"], ["verify", "--seed", "0", "--out", str(tmp_path)]):
+    """numpy's ComplexWarning (a dropped imaginary part) is a RuntimeWarning too.
+
+    The segment at z0 = i mixes a real basis with complex kernel values.
+    """
+    for argv in (
+        ["verify", "--help"],
+        ["verify", "--seed", "0", "--out", str(tmp_path / "verify")],
+        ["opm", "--geometry", "interval", "--z0", "0,1", "--degrees", "15", "--grid", "400",
+         "--out", str(tmp_path / "opm")],
+    ):
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "opmlab.cli", *argv],
             env=_subprocess_env(), capture_output=True, text=True, timeout=60,
@@ -354,8 +378,12 @@ def test_module_entry_point_runs_without_runtime_warning(tmp_path):
             ["convergence", "--geometry", "interval", "--z0", "2,0", "--degrees", "4..12:4", "--grid", "400"],
             ["plotdata.json"],
         ),
+        (
+            ["opm", "--geometry", "interval", "--z0", "0,1", "--degrees", "15", "--grid", "400"],
+            ["measure.csv", "certificate.json", "summary.txt"],
+        ),
     ],
-    ids=["opm", "convergence"],
+    ids=["opm", "convergence", "opm-imaginary-z0"],
 )
 def test_outputs_identical_across_blas_thread_settings(tmp_path, argv, files):
     for threads in ("1", "2"):

@@ -77,14 +77,23 @@ def _hoel_levine(n, x0):
 
 @pytest.mark.parametrize("n, x0", [(30, 2.0), (60, 2.0), (90, 1.2)])
 def test_segment_matches_the_hoel_levine_optimum(n, x0):
-    """On a grid holding the Chebyshev extrema the solver reaches T_n(x0)^2 and the exact weights."""
+    """On a grid holding the Chebyshev extrema the solver reaches T_n(x0)^2 and the exact weights.
+
+    The real-arithmetic solve agrees with the complex one: rotating the grid
+    and x0 together by e^{i pi/3} leaves B_n unchanged but gives the nodes
+    imaginary parts.
+    """
     grid = msr.discretize_boundary(geo.interval(), 1801)  # cos(j pi / 1800); n divides 1800
     nodes, weights, T2 = _hoel_levine(n, x0)
     exact = msr.DiscreteMeasure(nodes, weights)
     assert opm.certificate_gap(exact, x0, n, grid) <= 1e-10
     sol = opm.solve_opm(grid, x0, n, gap_tol=1e-10)
-    assert sol.converged
-    assert abs(sol.objective / T2 - 1.0) <= 1e-10
+    rot = np.exp(1j * np.pi / 3)
+    turned = opm.solve_opm(rot * grid, rot * x0, n, gap_tol=1e-10)
+    assert sol.converged and turned.converged
+    assert abs(turned.objective / sol.objective - 1.0) <= 1e-13
+    assert abs(sol.objective / T2 - 1.0) <= 1e-12
+    assert abs(turned.objective / T2 - 1.0) <= 1e-12
     w_exact = np.zeros(grid.size)
     w_exact[np.arange(n + 1) * (1800 // n)] = weights
     w = np.zeros(grid.size)
@@ -165,9 +174,24 @@ def test_warmup_lands_on_the_discretized_balayage(n):
     assert sol.measure.support_size == grid.size
 
 
+def test_work_dtype_follows_the_data():
+    """Real nodes and x0 give real arrays; a nonreal z0 makes only c complex; curves stay complex."""
+    w = np.full(SEGMENT_GRID.size, 1.0 / SEGMENT_GRID.size)
+    work = opm._Work(SEGMENT_GRID, 2.0, 30)
+    assert work.U.dtype == work.c.dtype == work.moment_matrix(w).dtype == np.float64
+    work = opm._Work(SEGMENT_GRID, 0.5j, 30)
+    assert work.U.dtype == work.moment_matrix(w).dtype == np.float64
+    assert work.c.dtype == np.complex128
+    grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660)
+    work = opm._Work(grid, 3.0, 12)
+    assert work.U.dtype == work.c.dtype == np.complex128
+    assert work.moment_matrix(np.full(grid.size, 1.0 / grid.size)).dtype == np.complex128
+
+
 @pytest.mark.parametrize("z0", [2.0, 0.5j])
 def test_support_reduction_keeps_objective_and_mass(z0):
-    """The reduction of a mid-solve iterate leaves B and the mass and at most 2n + 3 nodes."""
+    """The reduction of a mid-solve iterate leaves B and the mass, and at most
+    n + 2 nodes for real data (the Elfving bound n + 1 plus the mass row), else 2n + 3."""
     n = 30
     work = opm._Work(SEGMENT_GRID, z0, n)
     w = np.full(SEGMENT_GRID.size, 1.0 / SEGMENT_GRID.size)
@@ -184,7 +208,7 @@ def test_support_reduction_keeps_objective_and_mass(z0):
     assert abs(B_red / B - 1.0) <= 1e-12
     assert abs(w_red.sum() - 1.0) <= 1e-14
     assert np.all(w_red >= 0.0)
-    assert np.count_nonzero(w_red) <= 2 * n + 3
+    assert np.count_nonzero(w_red) <= (2 * n + 3 if complex(z0).imag else n + 2)
 
 
 def test_core_state_inverse_factor_matches_a_dense_solve():
