@@ -43,7 +43,26 @@ class _Factor:
     Q: np.ndarray  # (n+1, m) orthonormal node rows Q[k, i] = sqrt(w_i) q_k(x_i)
 
 
-def factor_nodes(nodes: np.ndarray, weights: np.ndarray, n: int) -> _Factor:
+def _mirror(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
+    """Index of each node's conjugate, or None unless conjugation maps the
+    weighted node set exactly onto itself (nodes and weights bitwise)."""
+    if not np.any(nodes.imag):
+        return np.arange(nodes.size)  # real nodes are their own mirrors
+    order = np.lexsort((nodes.imag, nodes.real))
+    flip = np.lexsort((-nodes.imag, nodes.real))  # sorts conj(nodes) in the same order
+    if not (
+        np.array_equal(nodes[order], nodes[flip].conj())
+        and np.array_equal(weights[order], weights[flip])
+    ):
+        return None
+    mirror = np.empty_like(order)
+    mirror[order] = flip
+    return mirror
+
+
+def factor_nodes(
+    nodes: np.ndarray, weights: np.ndarray, n: int, mirror: np.ndarray | None = None
+) -> _Factor:
     """Orthonormalize 1, z, ..., z^n on nodes carrying positive weights.
 
     The one place where the basis is built and its rank checked.  Classical
@@ -52,30 +71,50 @@ def factor_nodes(nodes: np.ndarray, weights: np.ndarray, n: int) -> _Factor:
     subdiagonal H[k+1,k] below 1e-14 of the norm of z q_k means the nodes do
     not determine degree k+1.  The leading blocks serve lower degrees.
 
-    Nodes with no imaginary part (the segment) give a real factor: Q and H
-    are float64, built in real arithmetic.  Evaluation through `_features`
-    stays complex, since evaluation points need not be real.
+    `mirror` (from `_mirror`) pairs each node with its conjugate in a
+    weighted node set that conjugation maps exactly onto itself.  Its
+    orthonormal polynomials have real coefficients, so only the nodes with
+    Im x >= 0 are orthogonalized, a mirror pair {x, conj x} carrying its
+    joint weight, and only the real part of each projection is kept: H is
+    real, and the values at conj x are set to the exact conjugates of those
+    at x.  Real nodes (the segment) are their own mirrors without being told:
+    Q and H are then float64, built in real arithmetic.  Evaluation through
+    `_features` stays complex, since evaluation points need not be real.
     """
     if nodes.size < n + 1:
         raise RankDeficient(
             f"degree {n} needs at least {n + 1} support points, have {nodes.size}"
         )
-    if not np.any(np.imag(nodes)):
-        nodes = np.real(nodes)
-    root_w = np.sqrt(weights)
+    if mirror is None and not np.any(nodes.imag):
+        mirror = np.arange(nodes.size)
+    x, orbit = nodes, weights
+    if mirror is not None:
+        rep = np.flatnonzero(nodes.imag >= 0.0)
+        x = nodes[rep]
+        pairs = np.where(x.imag > 0.0, 2.0, 1.0)
+        orbit = weights[rep] * pairs
+        if not np.any(x.imag):
+            x = x.real
+    root_w = np.sqrt(orbit)
+
+    def project(v, Qk):
+        """Qk^H v, conjugating v rather than Qk; only its real part for a mirrored set."""
+        h = (Qk @ v.conj()).conj()
+        return h if mirror is None else h.real
+
     q0 = 1.0 / float(np.linalg.norm(root_w))
-    Q = np.empty((n + 1, nodes.size), dtype=nodes.dtype)
+    Q = np.empty((n + 1, x.size), dtype=x.dtype)
     Q[0] = root_w * q0
-    H = np.zeros((n + 1, n), dtype=nodes.dtype)
+    H = np.zeros((n + 1, n), dtype=complex if mirror is None else float)
     for k in range(n):
-        v = nodes * Q[k]
+        v = x * Q[k]
         Qk = Q[: k + 1]
         norm_in = np.linalg.norm(v)
-        h = (Qk @ v.conj()).conj()  # Qk^H v, conjugating v rather than Qk
+        h = project(v, Qk)
         v -= h @ Qk
         norm = np.linalg.norm(v)
         if norm < 0.7 * norm_in:
-            h2 = (Qk @ v.conj()).conj()
+            h2 = project(v, Qk)
             v -= h2 @ Qk
             h += h2
             norm = np.linalg.norm(v)
@@ -84,6 +123,12 @@ def factor_nodes(nodes: np.ndarray, weights: np.ndarray, n: int) -> _Factor:
         H[: k + 1, k] = h
         H[k + 1, k] = norm
         Q[k + 1] = v / norm
+    if x.size < nodes.size:
+        Q = Q / np.sqrt(pairs)  # back to the node weights
+        full = np.empty((n + 1, nodes.size), dtype=Q.dtype)
+        full[:, rep] = Q
+        full[:, mirror[rep]] = Q.conj()
+        Q = full
     return _Factor(H=H, q0=q0, degree=n, Q=Q)
 
 

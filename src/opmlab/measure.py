@@ -88,6 +88,10 @@ def discretize_boundary(geom: geo.CurveGeometry, m: int) -> np.ndarray:
 
     Closed curves use the r = 1 level curve; the segment uses Chebyshev
     points cos(pi*j/(m-1)), which cluster like its equilibrium measure.
+    When Psi has real coefficients (the circle, the ellipse, Laurent curves
+    with a real center and tail) the curve is its own mirror image, and the
+    grid is made exactly so: x[m - j] = conj(x[j]), and the nodes on the real
+    axis (j = 0, and j = m/2 for even m) are exactly real.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -95,7 +99,14 @@ def discretize_boundary(geom: geo.CurveGeometry, m: int) -> np.ndarray:
         if m == 1:
             return np.array([1.0 + 0j])
         return np.cos(np.pi * np.arange(m) / (m - 1)).astype(complex)
-    return geo.level_curve_nodes(geom, 1.0, m)
+    nodes = geo.level_curve_nodes(geom, 1.0, m)
+    if complex(geom.center).imag == 0.0 and not np.any(np.imag(geom.tail)):
+        j = np.arange(1, (m + 1) // 2)
+        nodes[m - j] = nodes[j].conj()
+        nodes[0] = nodes[0].real
+        if m % 2 == 0:
+            nodes[m // 2] = nodes[m // 2].real
+    return nodes
 
 
 def holomorphic_moments(mu: DiscreteMeasure, k_max: int) -> np.ndarray:

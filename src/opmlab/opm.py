@@ -23,21 +23,28 @@ Before each Newton round the support is reduced without changing B.  With
 L the Cholesky factor of M and Li = L^{-1} its inverse (which
 `_Work.core_state` returns, so that no triangular solve is needed),
 y = M^{-1} c, k_i = u_i^H y and G the matrix with columns Li u_i k_i, the
-weight Hessian is 2 Re(G^H G), and a weight change d with G d = 0 gives
-(M + dM) y = M y = c: y, B and every node score stay exactly as they were.
-If also sum(d) = 0 the mass stays too.  Stepping along such directions to a
-weight boundary (a Caratheodory reduction) leaves at most
-rank([Re G; Im G; 1^T]) <= 2n + 3 nodes; a c-optimal design has an optimum
-with at most 2n + 1 atoms.  For real data (real nodes and real z0) G is
-real, and rank([G; 1^T]) <= n + 2 bounds the support; a real c-optimal
-design needs at most n + 1 atoms (Elfving 1952).  The cell entrants come on
-top of that set, so the Newton KKT matrix may be singular; a ridge keeps the
-solve defined, and each trial step is judged by its exact change of B.
+weight Hessian is 2 Re(G^H G) = 2 D^T D with D = [Re G; Im G], and a weight
+change d with D d = 0 gives (M + dM) y = M y = c: y, B and every node score
+stay exactly as they were.  If also sum(d) = 0 the mass stays too.  Stepping
+along such directions to a weight boundary (a Caratheodory reduction) leaves
+at most rank([D; 1^T]) <= 2n + 3 nodes; a c-optimal design has an optimum
+with at most 2n + 1 atoms.  The cell entrants come on top of that set, so
+the Newton KKT matrix may be singular; a ridge keeps the solve defined, and
+each trial step is judged by its exact change of B.
 
-The dtype follows the data, once: real nodes give a real Arnoldi factor, so
-U, M, L and G are float64 on the segment, and c and y are too when z0 is
-real.  Every product below then runs in real arithmetic with no second code
-path; at a nonreal z0 on the segment only c, y, k and G are complex.
+Conjugate pairs are folded when z0 is real and conjugation maps the grid
+exactly onto itself (the circle, the ellipse and real-coefficient Laurent
+curves, whose grids `measure.discretize_boundary` mirrors exactly).  B is
+convex in the weights and unchanged by mirroring them, so the mirror average
+of an optimum is optimal too: the solver works on the orbits {x, conj x},
+one weight per orbit, split equally between x and conj x on output.  The
+basis has real coefficients there, so c, y and M are real, and the Im G
+columns of x and conj x cancel: D = Re G has n + 1 rows, the reduction
+leaves at most n + 2 orbits, and a real c-optimal design needs at most
+n + 1 atoms (Elfving 1952).  Real nodes (the segment) are the case where
+every node is its own orbit: there U, M, L and G are float64 too, and at a
+nonreal z0, which is not folded, only c, y, k and G are complex.  No flag
+selects any of this; `_Work` reads it off the grid and z0, once.
 
 Each step is accepted only on certified descent, so the objective is
 nonincreasing across iterations; a reduction is not a step and leaves the
@@ -91,27 +98,78 @@ class _Work:
     and stays moderately conditioned along the whole weight path, which
     keeps certificate arithmetic accurate at high degree.
 
-    Real nodes give a real U, and then `Uc` is U itself rather than a
-    conjugate copy; c is real too when z0 is, so the moment matrix, its
-    Cholesky factor and the node scores are computed in real arithmetic.
+    A folded solve (real z0 on a grid that conjugation maps exactly onto
+    itself, see the module docstring) keeps only the orbit representatives
+    `rep`, the nodes with Im >= 0, in its rows.  Each weight is then the
+    mass of an orbit {x, conj x} of `mult` nodes (1 on the real axis, else
+    2), which `unfold` splits equally on the original grid; c is real, and
+    so is the moment matrix Re(U^H W U), whose two real products use the
+    `parts` Re U and Im U.  On real nodes U is real and `parts` is U itself,
+    at any z0.  Otherwise `rep` is the whole grid, `mult` is 1 and `parts`
+    is None: U, c and M are complex.
     """
 
     def __init__(self, nodes: np.ndarray, z0: complex, n: int):
-        self.nodes = nodes
         self.m = nodes.size
         self.n = n
-        fac = bergman.factor_nodes(nodes, np.full(self.m, 1.0 / self.m), n)
-        self.U = (np.sqrt(self.m) * fac.Q).T
-        self.Uc = self.U.conj()  # U itself when U is real
+        w0 = np.full(self.m, 1.0 / self.m)
+        mirror = bergman._mirror(nodes, w0) if complex(z0).imag == 0.0 else None
+        fac = bergman.factor_nodes(nodes, w0, n, mirror)
         c = bergman._features(fac, np.asarray([z0]))[:, 0]
-        self.c = c.real if np.isrealobj(self.U) and complex(z0).imag == 0.0 else c
+        self.fold = mirror is not None
+        self.rep = np.flatnonzero(nodes.imag >= 0.0) if self.fold else np.arange(self.m)
+        self.mirror = mirror[self.rep] if self.fold else self.rep
+        self.mult = np.where(self.mirror == self.rep, 1.0, 2.0)
+        self.nodes = nodes[self.rep]
+        self.U = (np.sqrt(self.m) * fac.Q[:, self.rep]).T
+        self.Uc = self.U.conj()  # U itself when U is real
+        self.c = c.real if self.fold else c
+        if np.isrealobj(self.U):
+            self.parts = (self.U,)
+        elif self.fold:
+            self.parts = (np.ascontiguousarray(self.U.real), np.ascontiguousarray(self.U.imag))
+        else:
+            self.parts = None
+
+    def unfold(self, w: np.ndarray) -> np.ndarray:
+        """Node weights on the original grid: each orbit's mass split equally."""
+        out = np.zeros(self.m)
+        out[self.rep] = out[self.mirror] = w / self.mult
+        return out
 
     def moment_matrix(self, w: np.ndarray) -> np.ndarray:
         s = np.flatnonzero(w)
-        if s.size == self.m:
+        if s.size == w.size:
             s = slice(None)  # a view: no copies of U on the full grid
-        M = self.U[s].T @ (w[s, None] * self.Uc[s])
-        return 0.5 * (M + M.conj().T)
+        if self.parts is None:
+            M = self.U[s].T @ (w[s, None] * self.Uc[s])
+            return 0.5 * (M + M.conj().T)
+        M = sum(P[s].T @ (w[s, None] * P[s]) for P in self.parts)
+        return 0.5 * (M + M.T)
+
+    def kernel(self, y: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """k_i = u_i^H y at `rows`, whose squared moduli are the node scores.
+
+        A real U meets a complex y (real nodes, nonreal z0) as one real
+        product with two columns, so U is never cast to complex.
+        """
+        if np.isrealobj(self.U) and np.iscomplexobj(y):
+            t = self.U[rows] @ np.stack((y.real, y.imag), 1)
+            return t[:, 0] + 1j * t[:, 1]
+        return self.Uc[rows] @ y
+
+    def frame(self, Li: np.ndarray, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Real matrix D, one column per node of `rows`, with D d = 0 leaving y fixed.
+
+        G = Li U_rows^T diag(k) has the columns Li u_i k_i; the weight
+        Hessian is 2 D^T D and the reduction keeps C = [D; 1^T].  D is
+        [Re G; Im G], or Re G alone in a folded solve, where the Im G of x
+        and conj x cancel (on real nodes at real z0, G is real).
+        """
+        G = (Li @ self.U[rows].T) * k
+        if self.fold:
+            return np.ascontiguousarray(G.real)
+        return np.vstack((G.real, G.imag))
 
     def core_state(self, M: np.ndarray):
         """Inverse Cholesky factor, objective, and kernel coefficients y = M^{-1} c.
@@ -131,7 +189,7 @@ class _Work:
     def scores_state(self, M: np.ndarray):
         """Core state plus the node scores |K_n(x_i, z0)|^2."""
         Li, B, y = self.core_state(M)
-        scores = np.abs(self.Uc @ y) ** 2
+        scores = np.abs(self.kernel(y)) ** 2
         return Li, B, y, scores
 
 
@@ -190,11 +248,12 @@ def _caratheodory(C: np.ndarray, W: np.ndarray, rank: int):
 def _reduce_support(work: _Work, w: np.ndarray, M, Li, B: float, y):
     """B-neutral Caratheodory reduction of the support.
 
-    Moves weight along the null space of C = [Re G; Im G; 1^T], with G the
-    columns Li u_i k_i / sqrt(B) and Li = L^{-1} the inverse Cholesky factor
-    of M (see the module docstring): B, y and the mass stay fixed, and at
-    most rank(C) <= 2n + 3 nodes are left.  When G is real (real nodes and
-    real z0), C = [G; 1^T] has n + 2 rows and at most n + 2 nodes are left.
+    Moves weight along the null space of C = [D; 1^T], with D = `_Work.frame`
+    of the columns Li u_i k_i / sqrt(B) and Li = L^{-1} the inverse Cholesky
+    factor of M (see the module docstring): B, y and the mass stay fixed, and
+    at most rank(C) <= 2n + 3 nodes are left.  In a folded solve (real nodes
+    at real z0 included) D = Re G, C has n + 2 rows and at most n + 2 orbits
+    are left.
     The 1/sqrt(B) scaling keeps the mass row on the scale of the others,
     since B reaches 1e33.  Large supports are first merged in twice as many
     contiguous groups as C has rows, each moving by a common factor
@@ -208,11 +267,7 @@ def _reduce_support(work: _Work, w: np.ndarray, M, Li, B: float, y):
     recomputed B is above B by more than rounding (1e-14 relative).
     """
     pos = np.flatnonzero(w)
-    # not scaled in place: at a nonreal z0 on the segment Li U^T is real and k complex
-    G = (Li @ work.U[pos].T) * ((work.Uc @ y)[pos] / np.sqrt(B))
-    parts = (G.real, G.imag) if np.iscomplexobj(G) else (G,)
-    C = np.vstack((*parts, np.ones(pos.size)))
-    del G
+    C = np.vstack((work.frame(Li, pos, work.kernel(y, pos) / np.sqrt(B)), np.ones(pos.size)))
     sv = np.linalg.svd(C, compute_uv=False)
     rank = int(np.count_nonzero(sv > 1e-12 * sv[0]))
     if pos.size <= rank:
@@ -265,16 +320,18 @@ def _cell_entrants(nodes: np.ndarray, w: np.ndarray, scores: np.ndarray, thresho
 def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, on_step):
     """Equality-constrained Newton on the weights of the node subset `idx`.
 
-    With Li = L^{-1} the inverse Cholesky factor of M, G = Z diag(k),
-    Z = Li U_idx^T and k_i = u_i^H M^{-1} c, the weight Hessian is
-    H = 2 Re(G^H G).  Directions with G d = 0 and sum(d) = 0 leave M^{-1} c,
-    and so B, exactly unchanged, and they make the KKT matrix singular.
-    `_reduce_support` removes them from the support, but the zero-weight
-    entrants of an exchange round can bring them back, so `idx` may exceed
-    the rank of its C = [Re G; Im G; 1^T] (or [G; 1^T] for real G), and the
-    quadratic model then has no unique minimizer.  The 1e-12 ridge keeps the
-    KKT solve defined, and the step stays safe because every trial is judged
-    by its exact change of B and accepted only on descent.
+    With Li = L^{-1} the inverse Cholesky factor of M, G = Li U_idx^T diag(k)
+    and k_i = u_i^H M^{-1} c, the weight Hessian is H = 2 D^T D, with
+    D = [Re G; Im G], or Re G when folded (`_Work.frame`).  In a folded
+    solve the weights are orbit masses, and the same H and the same exact
+    dB below hold for them.  Directions with D d = 0 and sum(d) = 0 leave
+    M^{-1} c, and so B, exactly unchanged, and they make the KKT matrix
+    singular.  `_reduce_support` removes them from the support, but the
+    zero-weight entrants of an exchange round can bring them back, so `idx`
+    may exceed the rank of its C = [D; 1^T], and the quadratic model then
+    has no unique minimizer.  The 1e-12 ridge keeps the KKT solve defined,
+    and the step stays safe because every trial is judged by its exact
+    change of B and accepted only on descent.
 
     `idx` may hold nodes at zero weight (the entrants).  Each stays in the
     solve while its KKT step is nonnegative; those whose step is negative
@@ -294,14 +351,12 @@ def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, on_step):
         s = idx.size
         if s < 2:
             break
-        Us = work.U[idx]
-        k = Us.conj() @ y  # k_i = u_i^H M^{-1} c
+        k = work.kernel(y, idx)  # k_i = u_i^H M^{-1} c
         sc = np.abs(k) ** 2
         if sc.max() / B - 1.0 <= 0.25 * gap_tol:
             break
-        Z = Li @ Us.T
-        S2 = Z.conj().T @ Z
-        H = 2.0 * np.real(np.conj(k)[:, None] * S2 * k[None, :])
+        D = work.frame(Li, idx, k)
+        H = 2.0 * (D.T @ D)
         kkt = np.zeros((s + 1, s + 1))
         kkt[:s, :s] = H + np.eye(s) * (1e-12 * max(1.0, float(H.diagonal().max())))
         kkt[:s, s] = 1.0
@@ -336,7 +391,7 @@ def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, on_step):
             except np.linalg.LinAlgError:
                 t *= 0.5
                 continue
-            dB = float((v - w[idx]) @ (B - np.real(np.conj(k) * (Us.conj() @ y_try))))
+            dB = float((v - w[idx]) @ (B - np.real(np.conj(k) * work.kernel(y_try, idx))))
             if dB < 0.0:
                 w, M, Li, B, y = w_try, M_try, Li_try, B + dB, y_try
                 accepted = True
@@ -368,6 +423,9 @@ def solve_opm(
     certificate gap above `gap_tol`; in the latter case the output keeps
     whichever of the floored and unfloored weights has the smaller gap.
     `status` is "converged" only when the reported gap is at most `gap_tol`.
+    A folded solve (real z0 on a grid that conjugation maps onto itself, see
+    the module docstring) gives x and conj x bitwise equal weights, and
+    `support` indexes the original grid.
     """
     nodes = np.asarray(nodes, dtype=complex).ravel()
     if nodes.size < n + 1:
@@ -378,9 +436,10 @@ def solve_opm(
     work = _Work(nodes, z0, n)
     m = work.m
     trace_vals: list[float] | None = [] if trace else None
-    status, w, it = _iterate(work, np.full(m, 1.0 / m), gap_tol, max_iters, trace_vals)
+    status, w, it = _iterate(work, work.mult / m, gap_tol, max_iters, trace_vals)
     w, B, gap, status = _finalize(work, w, status, gap_tol)
 
+    w = work.unfold(w)
     support = np.flatnonzero(w > 0.0)
     mu = DiscreteMeasure(nodes[support], w[support] / w[support].sum())
     return OpmSolution(
@@ -410,12 +469,12 @@ def _iterate(
     solves the cases whose optimum keeps broad support outright (one step
     from uniform lands on the discretized balayage); it ends at the first
     rejected step or after `_WARMUP_STEPS` steps.  Exchange rounds follow:
-    a B-neutral reduction of the support to at most 2n + 3 nodes, n + 2 for
-    real data (`_reduce_support`), then a Newton solve on those atoms plus one
-    zero-weight entrant per atom cell (`_cell_entrants`), among nodes
-    scoring above B (1 + gap_tol / 4), the bound at which `_newton_solve`
-    stops.  A round that takes no step ends the solve as stalled, because
-    the next round would repeat it.
+    a B-neutral reduction of the support to at most 2n + 3 nodes, n + 2
+    orbits when folded (`_reduce_support`), then a Newton solve on those
+    atoms plus one zero-weight entrant per atom cell (`_cell_entrants`),
+    among nodes scoring above B (1 + gap_tol / 4), the bound at which
+    `_newton_solve` stops.  A round that takes no step ends the solve as
+    stalled, because the next round would repeat it.
 
     An iteration is one accepted step of either type.  A reduction is not a
     step: it moves weight only along directions that leave y = M^{-1} c,
@@ -486,9 +545,11 @@ def _iterate(
 def _finalize(work: _Work, w: np.ndarray, status: str, gap_tol: float):
     """Apply the weight floor where it keeps the certificate; recompute B and gap.
 
-    The floored weights are kept when they leave at least n + 1 support nodes
-    and a gap within `gap_tol`; otherwise the lower-gap of the floored and
-    unfloored weights is returned.  A gap above `gap_tol` is never reported
+    The floor applies to node weights, so to an orbit of a folded solve
+    through its share on each node, and the n + 1 count is of nodes, not
+    orbits.  The floored weights are kept when they leave at least n + 1
+    support nodes and a gap within `gap_tol`; otherwise the lower-gap of the
+    floored and unfloored weights is returned.  A gap above `gap_tol` is never reported
     as converged.  Returns (w, B, gap, status).
     """
 
@@ -497,8 +558,8 @@ def _finalize(work: _Work, w: np.ndarray, status: str, gap_tol: float):
         _, B, _, scores = work.scores_state(work.moment_matrix(v))
         return v, B, float(scores.max() / B - 1.0)
 
-    floored = np.where(w < _WEIGHT_FLOOR, 0.0, w)
-    if np.count_nonzero(floored) < work.n + 1:
+    floored = np.where(w < _WEIGHT_FLOOR * work.mult, 0.0, w)  # the floor applies per node
+    if work.mult @ (floored > 0.0) < work.n + 1:
         out = certify(w)
     else:
         out = certify(floored)

@@ -323,7 +323,7 @@ class TestVerifyCommand:
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     """A library error inside the solver maps to exit code 3."""
 
-    def refuse(nodes, weights, n):
+    def refuse(*args):
         raise RankDeficient("injected")
 
     monkeypatch.setattr("opmlab.bergman.factor_nodes", refuse)

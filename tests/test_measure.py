@@ -71,6 +71,20 @@ def test_discretize_boundary_circle_and_interval():
     assert gaps[0] < gaps[len(gaps) // 2]
 
 
+@pytest.mark.parametrize("m", [659, 660])
+def test_symmetric_grids_are_exactly_mirrored(m):
+    """Real-coefficient curves get x[m - j] = conj(x[j]) bitwise, real axis nodes
+    included; a complex Laurent tail keeps the plain level-curve samples."""
+    j = np.arange(m)
+    for g in (geo.unit_circle(), geo.ellipse(2.0, 1.0), geo.laurent_curve(1.0, 0.0, (0.0, 0.15))):
+        x = msr.discretize_boundary(g, m)
+        assert np.array_equal(x[(-j) % m], x.conj())
+        assert x[0].imag == 0.0 and (m % 2 or x[m // 2].imag == 0.0)
+        assert np.abs(x - geo.level_curve_nodes(g, 1.0, m)).max() <= 1e-14
+    g = geo.laurent_curve(1.0, 0.0, (0.1j, 0.15))
+    assert np.array_equal(msr.discretize_boundary(g, m), geo.level_curve_nodes(g, 1.0, m))
+
+
 def test_holomorphic_moments_circle_uniform():
     mu = msr.uniform_measure(msr.discretize_boundary(geo.unit_circle(), 64))
     mom = msr.holomorphic_moments(mu, 5)

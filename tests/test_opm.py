@@ -101,6 +101,46 @@ def test_segment_matches_the_hoel_levine_optimum(n, x0):
     assert np.abs(w - w_exact).max() <= 1e-6
 
 
+FOLD_CASES = [
+    *((geo.ellipse(2.0, 1.0), 660, 3.0, n) for n in (4, 8, 12, 20)),
+    *((geo.unit_circle(), 512, 2.0, n) for n in (3, 6)),
+    *((geo.laurent_curve(1.0, 0.0, (0.0, 0.15)), 600, 2.0, n) for n in (6, 12)),
+    (geo.ellipse(5.0, 1.0), 1000, 6.0, 24),
+]
+
+
+@pytest.mark.parametrize(
+    "geom, m, z0, n", FOLD_CASES, ids=[f"{g.kind}-m{m}-n{n}" for g, m, _, n in FOLD_CASES]
+)
+def test_folded_solve_matches_the_complex_path(geom, m, z0, n):
+    """A symmetric grid at real z0 is solved on its orbits and agrees with the
+    unfolded solve of the same grid and z0 turned by e^{i pi/3}; each mirror
+    pair carries bitwise equal weights."""
+    grid = msr.discretize_boundary(geom, m)
+    assert opm._Work(grid, z0, n).fold
+    sol = opm.solve_opm(grid, z0, n, gap_tol=1e-12)
+    rot = np.exp(1j * np.pi / 3)
+    assert not opm._Work(rot * grid, rot * z0, n).fold
+    turned = opm.solve_opm(rot * grid, rot * z0, n, gap_tol=1e-12)
+    assert sol.converged and turned.converged
+    assert abs(sol.objective / turned.objective - 1.0) <= 1e-13
+    w = np.zeros(m)
+    w[sol.support] = sol.measure.weights
+    assert np.array_equal(w[(-np.arange(m)) % m], w)
+    assert abs(sol.measure.weights.sum() - 1.0) <= 1e-14
+
+
+def test_fold_needs_exact_symmetry_and_real_z0():
+    """One node off its mirror by one ulp, or z0 off the axis, keeps the solve unfolded."""
+    grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660)
+    assert opm._Work(grid, 3.0, 4).fold
+    assert not opm._Work(grid, 3.0 + 1e-9j, 4).fold
+    moved = grid.copy()
+    moved[5] = complex(np.nextafter(moved[5].real, np.inf), moved[5].imag)
+    work = opm._Work(moved, 3.0, 4)
+    assert not work.fold and work.U.shape[0] == grid.size
+
+
 def test_ellipse_moments_match_the_balayage_at_high_degree():
     """ellipse(2,1), z0=3: the optimum's moments equal the discretized balayage's through degree 100."""
     rows = opm.convergence_study(geo.ellipse(2.0, 1.0), 3.0, [22, 40, 70, 100], 2020, gap_tol=1e-8)
@@ -175,7 +215,8 @@ def test_warmup_lands_on_the_discretized_balayage(n):
 
 
 def test_work_dtype_follows_the_data():
-    """Real nodes and x0 give real arrays; a nonreal z0 makes only c complex; curves stay complex."""
+    """Real nodes and x0 give real arrays; a nonreal z0 makes only c complex; a
+    folded curve has real c and M; input that is not symmetric stays complex."""
     w = np.full(SEGMENT_GRID.size, 1.0 / SEGMENT_GRID.size)
     work = opm._Work(SEGMENT_GRID, 2.0, 30)
     assert work.U.dtype == work.c.dtype == work.moment_matrix(w).dtype == np.float64
@@ -184,6 +225,9 @@ def test_work_dtype_follows_the_data():
     assert work.c.dtype == np.complex128
     grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660)
     work = opm._Work(grid, 3.0, 12)
+    assert work.U.dtype == np.complex128
+    assert work.c.dtype == work.moment_matrix(work.mult / grid.size).dtype == np.float64
+    work = opm._Work(grid, 3.0 + 1e-9j, 12)
     assert work.U.dtype == work.c.dtype == np.complex128
     assert work.moment_matrix(np.full(grid.size, 1.0 / grid.size)).dtype == np.complex128
 
