@@ -138,14 +138,13 @@ def factorize(mu: DiscreteMeasure, n: int) -> _Factor:
     return factor_nodes(mu.nodes[keep], mu.weights[keep], n)
 
 
-def _features(fac: _Factor, zs: np.ndarray, degree: int | None = None) -> np.ndarray:
-    """Columns y(z) = (q_0(z), ..., q_n(z)), so K(z, u) = y(u)^H y(z); n defaults to the factor's.
+def _features(fac: _Factor, zs: np.ndarray) -> np.ndarray:
+    """Columns y(z) = (q_0(z), ..., q_n(z)), so K(z, u) = y(u)^H y(z), n the factor's degree.
 
-    Rows come from the Hessenberg recurrence z q_k = sum_{j<=k+1} H[j,k] q_j.
+    Rows come from the Hessenberg recurrence z q_k = sum_{j<=k+1} H[j,k] q_j,
+    so the first k + 1 rows are those of degree k.
     """
-    n = fac.degree if degree is None else degree
-    if n > fac.degree:
-        raise ValueError(f"factor holds degree {fac.degree}, requested {n}")
+    n = fac.degree
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     out = np.empty((n + 1, zs.size), dtype=complex)
     out[0] = fac.q0
@@ -155,9 +154,19 @@ def _features(fac: _Factor, zs: np.ndarray, degree: int | None = None) -> np.nda
     return out
 
 
-def bergman_value(fac: _Factor, z: complex, degree: int | None = None) -> float:
-    y = _features(fac, np.asarray([z]), degree)
+def bergman_value(fac: _Factor, z: complex) -> float:
+    y = _features(fac, np.asarray([z]))
     return float(np.real(np.vdot(y, y)))
+
+
+def _nested_values(fac: _Factor, z: complex, low: int) -> tuple[float, float]:
+    """B at the factor's degree and at degree `low <= degree` from one feature column.
+
+    B_low is the partial sum of the column's first low + 1 rows: the leading
+    blocks of a factor serve the lower degrees.
+    """
+    y = _features(fac, np.asarray([z]))[:, 0]
+    return float(np.real(np.vdot(y, y))), float(np.real(np.vdot(y[: low + 1], y[: low + 1])))
 
 
 def kernel_values(fac: _Factor, zs: np.ndarray, z0: complex) -> np.ndarray:
@@ -212,15 +221,14 @@ def tilde_monotonicity_defect(
 ) -> float:
     """tilde_B_{N-n}(mu, z) / tilde_B_N(mu, z) - 1; <= 0 means weak monotonicity holds.
 
-    Both degrees are evaluated from one factorization (nested leading blocks),
-    so the ratio is consistent to roundoff.  Defined on closed curves only.
+    Both degrees are evaluated from one factorization and one feature column
+    (nested leading rows), so the ratio is consistent to roundoff.  Defined
+    on closed curves only.
     """
     if not geom.is_curve:
         raise CurveRequired("tilde monotonicity compares curve geometries only")
     if not (0 < n <= N):
         raise ValueError(f"need 0 < n <= N, got n={n}, N={N}")
-    fac = factorize(mu, N)
-    B_hi = bergman_value(fac, z)
-    B_lo = bergman_value(fac, z, degree=N - n)
+    B_hi, B_lo = _nested_values(factorize(mu, N), z, N - n)
     growth = abs(geo.exterior_map(geom, z)) ** (2 * n)
     return float((B_lo / B_hi) * growth - 1.0)

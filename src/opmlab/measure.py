@@ -87,7 +87,10 @@ def discretize_boundary(geom: geo.CurveGeometry, m: int) -> np.ndarray:
     """Canonical m-point boundary grid of the geometry.
 
     Closed curves use the r = 1 level curve; the segment uses Chebyshev
-    points cos(pi*j/(m-1)), which cluster like its equilibrium measure.
+    points cos(pi*j/(m-1)), which cluster like its equilibrium measure, made
+    exactly symmetric: x[m - 1 - j] = -x[j], and the middle node of odd m is
+    exactly 0 (those nodes move by at most 5.9e-16), so the solver can fold
+    the pairs {x, -x} at a purely imaginary z0.
     When Psi has real coefficients (the circle, the ellipse, Laurent curves
     with a real center and tail) the curve is its own mirror image, and the
     grid is made exactly so: x[m - j] = conj(x[j]), and the nodes on the real
@@ -98,7 +101,12 @@ def discretize_boundary(geom: geo.CurveGeometry, m: int) -> np.ndarray:
     if geom.kind == "interval":
         if m == 1:
             return np.array([1.0 + 0j])
-        return np.cos(np.pi * np.arange(m) / (m - 1)).astype(complex)
+        x = np.cos(np.pi * np.arange(m) / (m - 1))
+        j = np.arange(m // 2)
+        x[m - 1 - j] = -x[j]
+        if m % 2:
+            x[m // 2] = 0.0
+        return x.astype(complex)
     nodes = geo.level_curve_nodes(geom, 1.0, m)
     if complex(geom.center).imag == 0.0 and not np.any(np.imag(geom.tail)):
         j = np.arange(1, (m + 1) // 2)

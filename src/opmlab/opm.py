@@ -42,9 +42,19 @@ basis has real coefficients there, so c, y and M are real, and the Im G
 columns of x and conj x cancel: D = Re G has n + 1 rows, the reduction
 leaves at most n + 2 orbits, and a real c-optimal design needs at most
 n + 1 atoms (Elfving 1952).  Real nodes (the segment) are the case where
-every node is its own orbit: there U, M, L and G are float64 too, and at a
-nonreal z0, which is not folded, only c, y, k and G are complex.  No flag
-selects any of this; `_Work` reads it off the grid and z0, once.
+every node is its own orbit: there U, M, L and G are float64 too.
+
+A purely imaginary z0 = i a is folded through the same path when the
+reflection x -> -conj(x) maps the grid exactly onto itself (the segment,
+whose grid `measure.discretize_boundary` mirrors exactly as x[m-1-j] =
+-x[j]): multiplying the nodes and z0 by -i, which is exact in floating
+point, turns that reflection into conjugation and z0 into the real point a.
+B, the node scores and the certificate are unchanged by a rotation of the
+plane, since the polynomials of degree <= n are, and so are the Euclidean
+distances that pick the cell entrants; the orbits on the segment are
+{x, -x}.  Real nodes without that symmetry at a nonreal z0 are not folded:
+there only c, y, k and G are complex.  No flag selects any of this; `_Work`
+reads it off the grid and z0, once.
 
 Each step is accepted only on certified descent, so the objective is
 nonincreasing across iterations; a reduction is not a step and leaves the
@@ -105,15 +115,29 @@ class _Work:
     2), which `unfold` splits equally on the original grid; c is real, and
     so is the moment matrix Re(U^H W U), whose two real products use the
     `parts` Re U and Im U.  On real nodes U is real and `parts` is U itself,
-    at any z0.  Otherwise `rep` is the whole grid, `mult` is 1 and `parts`
-    is None: U, c and M are complex.
+    also at a nonreal z0 that is not folded.  Otherwise `rep` is the whole
+    grid, `mult` is 1 and `parts` is None: U, c and M are complex.
+
+    At z0 = i a on a grid that x -> -conj(x) maps exactly onto itself the
+    work is built on the turned nodes -i x at the real point a, and folded
+    as above (on the segment U is then complex, its rows the nodes x <= 0).
+    Indices are those of the caller's grid throughout; only `nodes` holds
+    turned positions, whose distances are those of the original.
     """
 
     def __init__(self, nodes: np.ndarray, z0: complex, n: int):
         self.m = nodes.size
         self.n = n
         w0 = np.full(self.m, 1.0 / self.m)
-        mirror = bergman._mirror(nodes, w0) if complex(z0).imag == 0.0 else None
+        z0 = complex(z0)
+        mirror = None
+        if z0.imag == 0.0:
+            mirror = bergman._mirror(nodes, w0)
+        elif z0.real == 0.0:
+            turned = -1j * nodes  # exact: swaps Re and Im and flips one sign
+            mirror = bergman._mirror(turned, w0)
+            if mirror is not None:
+                nodes, z0 = turned, -1j * z0
         fac = bergman.factor_nodes(nodes, w0, n, mirror)
         c = bergman._features(fac, np.asarray([z0]))[:, 0]
         self.fold = mirror is not None
@@ -423,9 +447,10 @@ def solve_opm(
     certificate gap above `gap_tol`; in the latter case the output keeps
     whichever of the floored and unfloored weights has the smaller gap.
     `status` is "converged" only when the reported gap is at most `gap_tol`.
-    A folded solve (real z0 on a grid that conjugation maps onto itself, see
-    the module docstring) gives x and conj x bitwise equal weights, and
-    `support` indexes the original grid.
+    A folded solve (real z0 on a grid that conjugation maps onto itself, or
+    z0 = i a on one that x -> -conj(x) maps onto itself, see the module
+    docstring) gives the two nodes of each mirror pair bitwise equal weights,
+    and `support` indexes the original grid.
     """
     nodes = np.asarray(nodes, dtype=complex).ravel()
     if nodes.size < n + 1:

@@ -96,7 +96,7 @@ def test_nested_degrees_share_factorization():
     mu = msr.balayage_point_mass(geo.unit_circle(), 2.0, 128)
     fac = bergman.factorize(mu, 8)
     for n in range(1, 9):
-        nested = bergman.bergman_value(fac, 2.0, degree=n)
+        nested = bergman._nested_values(fac, 2.0, n)[1]
         fresh = bergman.bergman_value(bergman.factorize(mu, n), 2.0)
         assert nested == pytest.approx(fresh, rel=1e-10)
 

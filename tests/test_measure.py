@@ -74,8 +74,14 @@ def test_discretize_boundary_circle_and_interval():
 @pytest.mark.parametrize("m", [659, 660])
 def test_symmetric_grids_are_exactly_mirrored(m):
     """Real-coefficient curves get x[m - j] = conj(x[j]) bitwise, real axis nodes
-    included; a complex Laurent tail keeps the plain level-curve samples."""
+    included; a complex Laurent tail keeps the plain level-curve samples; the
+    segment gets x[m - 1 - j] = -x[j] bitwise, with an exact 0 in the middle."""
     j = np.arange(m)
+    x = msr.discretize_boundary(geo.interval(), m)
+    assert not np.any(x.imag)
+    assert np.array_equal(x[m - 1 - j], -x)
+    assert m % 2 == 0 or x[m // 2] == 0.0
+    assert np.abs(x - np.cos(np.pi * j / (m - 1))).max() <= 1e-15
     for g in (geo.unit_circle(), geo.ellipse(2.0, 1.0), geo.laurent_curve(1.0, 0.0, (0.0, 0.15))):
         x = msr.discretize_boundary(g, m)
         assert np.array_equal(x[(-j) % m], x.conj())

@@ -49,6 +49,8 @@ def test_iterations_count_the_traced_steps():
 
 
 SEGMENT_GRID = msr.discretize_boundary(geo.interval(), 2000)
+SEGMENT_GRID_OFF = SEGMENT_GRID.copy()  # one node one ulp off its mirror: no fold at i*a
+SEGMENT_GRID_OFF[5] = np.nextafter(SEGMENT_GRID[5].real, np.inf)
 
 
 def test_segment_endgame_needs_no_crawl():
@@ -106,16 +108,20 @@ FOLD_CASES = [
     *((geo.unit_circle(), 512, 2.0, n) for n in (3, 6)),
     *((geo.laurent_curve(1.0, 0.0, (0.0, 0.15)), 600, 2.0, n) for n in (6, 12)),
     (geo.ellipse(5.0, 1.0), 1000, 6.0, 24),
+    *((geo.interval(), m, 1j * a, n) for m in (1999, 2000) for n in (15, 30) for a in (0.8731, 1.0)),
 ]
 
 
-@pytest.mark.parametrize(
-    "geom, m, z0, n", FOLD_CASES, ids=[f"{g.kind}-m{m}-n{n}" for g, m, _, n in FOLD_CASES]
-)
+def _fold_id(geom, m, z0, n):
+    return f"{geom.kind}-m{m}-n{n}" + (f"-{z0.imag!r}i" if complex(z0).imag else "")
+
+
+@pytest.mark.parametrize("geom, m, z0, n", FOLD_CASES, ids=[_fold_id(*case) for case in FOLD_CASES])
 def test_folded_solve_matches_the_complex_path(geom, m, z0, n):
-    """A symmetric grid at real z0 is solved on its orbits and agrees with the
-    unfolded solve of the same grid and z0 turned by e^{i pi/3}; each mirror
-    pair carries bitwise equal weights."""
+    """A symmetric grid at real z0, or the segment at z0 = i a (turned a quarter
+    onto the real axis), is solved on its orbits and agrees with the unfolded
+    solve of the same grid and z0 turned by e^{i pi/3}; each mirror pair
+    (x and conj x, or x and -x on the segment) carries bitwise equal weights."""
     grid = msr.discretize_boundary(geom, m)
     assert opm._Work(grid, z0, n).fold
     sol = opm.solve_opm(grid, z0, n, gap_tol=1e-12)
@@ -124,14 +130,17 @@ def test_folded_solve_matches_the_complex_path(geom, m, z0, n):
     turned = opm.solve_opm(rot * grid, rot * z0, n, gap_tol=1e-12)
     assert sol.converged and turned.converged
     assert abs(sol.objective / turned.objective - 1.0) <= 1e-13
+    j = np.arange(m)
+    mirror = m - 1 - j if geom.kind == "interval" else (-j) % m
     w = np.zeros(m)
     w[sol.support] = sol.measure.weights
-    assert np.array_equal(w[(-np.arange(m)) % m], w)
+    assert np.array_equal(w[mirror], w)
     assert abs(sol.measure.weights.sum() - 1.0) <= 1e-14
 
 
 def test_fold_needs_exact_symmetry_and_real_z0():
-    """One node off its mirror by one ulp, or z0 off the axis, keeps the solve unfolded."""
+    """One node off its mirror by one ulp, or z0 off the axis, keeps the solve
+    unfolded; on the segment the axis is the imaginary one too."""
     grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660)
     assert opm._Work(grid, 3.0, 4).fold
     assert not opm._Work(grid, 3.0 + 1e-9j, 4).fold
@@ -139,6 +148,22 @@ def test_fold_needs_exact_symmetry_and_real_z0():
     moved[5] = complex(np.nextafter(moved[5].real, np.inf), moved[5].imag)
     work = opm._Work(moved, 3.0, 4)
     assert not work.fold and work.U.shape[0] == grid.size
+    work = opm._Work(SEGMENT_GRID, 0.5j, 4)
+    assert work.fold and work.U.shape[0] == SEGMENT_GRID.size // 2
+    assert not opm._Work(SEGMENT_GRID, 1e-9 + 0.5j, 4).fold
+    work = opm._Work(SEGMENT_GRID_OFF, 0.5j, 4)
+    assert not work.fold and work.U.shape[0] == SEGMENT_GRID.size
+
+
+def test_segment_endgame_shapes_take_their_fast_paths():
+    """The benchmark's segment ops on the 2000-point grid: real x0 gives a float64
+    basis, i a (a quarter turn from a real point) folds the mirror pairs {x, -x}."""
+    for x0 in (1.8, 2.0, 2.2):
+        work = opm._Work(SEGMENT_GRID, x0, 30)
+        assert work.U.dtype == work.c.dtype == np.float64
+    for a in (0.8, 1.0, 1.2):
+        work = opm._Work(SEGMENT_GRID, 1j * a, 30)
+        assert work.fold and work.U.shape == (1000, 31) and work.c.dtype == np.float64
 
 
 def test_ellipse_moments_match_the_balayage_at_high_degree():
@@ -215,14 +240,18 @@ def test_warmup_lands_on_the_discretized_balayage(n):
 
 
 def test_work_dtype_follows_the_data():
-    """Real nodes and x0 give real arrays; a nonreal z0 makes only c complex; a
-    folded curve has real c and M; input that is not symmetric stays complex."""
+    """Real nodes and x0 give real arrays; on real nodes that are not mirror
+    symmetric a nonreal z0 makes only c complex; a folded curve, or the folded
+    segment at i a, has real c and M; input that is not symmetric stays complex."""
     w = np.full(SEGMENT_GRID.size, 1.0 / SEGMENT_GRID.size)
     work = opm._Work(SEGMENT_GRID, 2.0, 30)
     assert work.U.dtype == work.c.dtype == work.moment_matrix(w).dtype == np.float64
-    work = opm._Work(SEGMENT_GRID, 0.5j, 30)
+    work = opm._Work(SEGMENT_GRID_OFF, 0.5j, 30)
     assert work.U.dtype == work.moment_matrix(w).dtype == np.float64
     assert work.c.dtype == np.complex128
+    work = opm._Work(SEGMENT_GRID, 0.5j, 30)
+    assert work.U.dtype == np.complex128
+    assert work.c.dtype == work.moment_matrix(work.mult / work.m).dtype == np.float64
     grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660)
     work = opm._Work(grid, 3.0, 12)
     assert work.U.dtype == np.complex128
@@ -232,13 +261,18 @@ def test_work_dtype_follows_the_data():
     assert work.moment_matrix(np.full(grid.size, 1.0 / grid.size)).dtype == np.complex128
 
 
-@pytest.mark.parametrize("z0", [2.0, 0.5j])
-def test_support_reduction_keeps_objective_and_mass(z0):
+@pytest.mark.parametrize(
+    "grid, z0",
+    [(SEGMENT_GRID, 2.0), (SEGMENT_GRID_OFF, 0.5j), (SEGMENT_GRID, 0.5j)],
+    ids=["2.0", "0.5j", "0.5j-folded"],
+)
+def test_support_reduction_keeps_objective_and_mass(grid, z0):
     """The reduction of a mid-solve iterate leaves B and the mass, and at most
-    n + 2 nodes for real data (the Elfving bound n + 1 plus the mass row), else 2n + 3."""
+    n + 2 weights when folded (real data, or the segment turned from i a: the
+    Elfving bound n + 1 plus the mass row), else 2n + 3."""
     n = 30
-    work = opm._Work(SEGMENT_GRID, z0, n)
-    w = np.full(SEGMENT_GRID.size, 1.0 / SEGMENT_GRID.size)
+    work = opm._Work(grid, z0, n)
+    w = work.mult / work.m
     M = work.moment_matrix(w)
     for _ in range(50):
         _, B, _, scores = work.scores_state(M)
@@ -252,7 +286,7 @@ def test_support_reduction_keeps_objective_and_mass(z0):
     assert abs(B_red / B - 1.0) <= 1e-12
     assert abs(w_red.sum() - 1.0) <= 1e-14
     assert np.all(w_red >= 0.0)
-    assert np.count_nonzero(w_red) <= (2 * n + 3 if complex(z0).imag else n + 2)
+    assert np.count_nonzero(w_red) <= (n + 2 if work.fold else 2 * n + 3)
 
 
 def test_core_state_inverse_factor_matches_a_dense_solve():
