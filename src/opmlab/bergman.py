@@ -69,7 +69,9 @@ def factor_nodes(
     Gram-Schmidt orthogonalizes z q_k against q_0..q_k, with a second pass
     when the first cancels more than 30% of the norm (Kahan-Parlett); a
     subdiagonal H[k+1,k] below 1e-14 of the norm of z q_k means the nodes do
-    not determine degree k+1.  The leading blocks serve lower degrees.
+    not determine degree k+1.  The leading blocks serve lower degrees: pass k
+    reads only Q[:k+1], so Q[:k+1] and H[:k+1, :k] are bitwise those of a
+    factor of degree k (`opm.convergence_study` factors its grid once so).
 
     `mirror` (from `_mirror`) pairs each node with its conjugate in a
     weighted node set that conjugation maps exactly onto itself.  Its

@@ -30,7 +30,10 @@ along such directions to a weight boundary (a Caratheodory reduction) leaves
 at most rank([D; 1^T]) <= 2n + 3 nodes; a c-optimal design has an optimum
 with at most 2n + 1 atoms.  The cell entrants come on top of that set, so
 the Newton KKT matrix may be singular; a ridge keeps the solve defined, and
-each trial step is judged by its exact change of B.
+each trial step is judged by its exact change of B.  A Newton step solves
+its quadratic model over the nonnegative weights, not only up to the first
+weight boundary, so the nodes it empties leave in one step: the support
+moves to the grid optimum in a few steps per round, not one node per step.
 
 Conjugate pairs are folded when z0 is real and conjugation maps the grid
 exactly onto itself (the circle, the ellipse and real-coefficient Laurent
@@ -63,6 +66,7 @@ objective as it was.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -145,15 +149,30 @@ class _Work:
         self.mirror = mirror[self.rep] if self.fold else self.rep
         self.mult = np.where(self.mirror == self.rep, 1.0, 2.0)
         self.nodes = nodes[self.rep]
-        self.U = (np.sqrt(self.m) * fac.Q[:, self.rep]).T
-        self.Uc = self.U.conj()  # U itself when U is real
-        self.c = c.real if self.fold else c
-        if np.isrealobj(self.U):
+        self._set_basis((np.sqrt(self.m) * fac.Q[:, self.rep]).T, c.real if self.fold else c)
+
+    def _set_basis(self, U: np.ndarray, c: np.ndarray) -> None:
+        """Set U and c, and the arrays the products read from U."""
+        self.U, self.c = U, c
+        self.Uc = U.conj()  # U itself when U is real
+        if np.isrealobj(U):
             self.parts = (self.U,)
         elif self.fold:
             self.parts = (np.ascontiguousarray(self.U.real), np.ascontiguousarray(self.U.imag))
         else:
             self.parts = None
+
+    def leading(self, n: int) -> _Work:
+        """The work of degree n <= self.n on the same grid and point.
+
+        The leading n + 1 columns of U and entries of c are those of degree
+        n (the leading blocks of the Arnoldi factor serve the lower degrees,
+        see `bergman.factor_nodes`), so this builds no basis: U is a view.
+        """
+        sub = copy.copy(self)
+        sub.n = n
+        sub._set_basis(self.U[:, : n + 1], self.c[: n + 1])
+        return sub
 
     def unfold(self, w: np.ndarray) -> np.ndarray:
         """Node weights on the original grid: each orbit's mass split equally."""
@@ -246,26 +265,31 @@ def _caratheodory(C: np.ndarray, W: np.ndarray, rank: int):
     The null space is spanned by the right singular vectors of C past `rank`.
     Each vector moves W to its first boundary, and the zeroed entry is then
     eliminated from the remaining vectors with the one that has the largest
-    entry there, so every multiplier is at most 1 in modulus.
+    entry there, so every multiplier is at most 1 in modulus.  The
+    elimination runs in place on the columns not yet used: the pivot
+    column becomes exactly zero (its multiplier is x / x = 1) and is passed
+    over when its turn comes, so no column is deleted or copied.
     """
     V = np.linalg.svd(C)[2][rank:].T
     W = W.copy()
-    while V.shape[1]:
-        v = V[:, 0]
+    ratios = np.empty(W.size)
+    c = 0  # the columns before c are used up
+    while c < V.shape[1]:
+        v = V[:, c]
         neg = v < 0.0
-        if not np.any(neg):  # sum(v) = 0 (the mass row), so only rounding gets here
-            V = V[:, 1:]
+        if not neg.any():  # sum(v) = 0 (the mass row): an eliminated column, or rounding
+            c += 1
             continue
-        ratios = np.full(W.size, np.inf)
-        ratios[neg] = W[neg] / -v[neg]
-        p = int(np.argmin(ratios))
-        W = np.clip(W + ratios[p] * v, 0.0, None)
+        ratios.fill(-np.inf)
+        np.divide(W, v, out=ratios, where=neg)  # minus the step to each boundary
+        p = int(ratios.argmax())
+        W -= ratios[p] * v
+        np.maximum(W, 0.0, out=W)
         W[p] = 0.0
-        j = int(np.argmax(np.abs(V[p])))
-        piv = V[:, j]
-        V = np.delete(V, j, axis=1)
-        V -= np.outer(piv, V[p] / piv[p])
-        V[p] = 0.0
+        row = V[p, c:]
+        j = c + int(np.abs(row).argmax())
+        V[:, c:] -= V[:, j, None] * (row / V[p, j])  # column j becomes exactly zero
+        row[:] = 0.0
     return W
 
 
@@ -341,6 +365,57 @@ def _cell_entrants(nodes: np.ndarray, w: np.ndarray, scores: np.ndarray, thresho
     return cand[order][np.r_[True, cell[1:] != cell[:-1]]]
 
 
+def _model_step(kkt: np.ndarray, rhs: np.ndarray, w0: np.ndarray):
+    """Minimize the quadratic model over {w0 + d >= 0, sum(d) = 0} by a primal active set.
+
+    `kkt` and `rhs` are the bordered system [[H, 1], [1^T, 0]] [d; lam] =
+    [g; 0] of the model -g.d + d^T H d / 2 on all nodes.  Each pass solves it
+    on the free nodes and moves from the current d toward that solution up
+    to the first weight boundary; the node found there is fixed at zero
+    (d_j = -w0_j, its pull kkt[:, j] w0_j moved to the right-hand side), so
+    nodes only leave.  Zero-weight nodes whose direction is negative at the
+    start leave together before any move, as a boundary at step length 0.
+    The model decreases along every move, and the loop ends when the
+    solution on the free nodes is feasible.  Returns that d, or None when
+    the solve yields no usable direction.
+    """
+    s = w0.size
+    free = np.ones(s, dtype=bool)
+    b = rhs.copy()
+    d = np.zeros(s)
+    lim = np.empty(s)
+    moved = False
+    while True:
+        rows = np.append(np.flatnonzero(free), s)
+        A = kkt.take(rows, 0).take(rows, 1)
+        try:
+            sol = np.linalg.solve(A, b[rows])
+        except np.linalg.LinAlgError:
+            sol, *_ = np.linalg.lstsq(A, b[rows], rcond=None)
+        if not np.isfinite(sol).all():
+            return None
+        target = -w0
+        target[free] = sol[:-1]
+        step = target - d  # zero at the fixed nodes
+        neg = step < 0.0
+        if not moved:
+            out = neg & (w0 <= _ZERO_WEIGHT)
+            if out.any():
+                free &= ~out
+                b += kkt[:, np.flatnonzero(out)] @ w0[out]
+                continue
+        lim.fill(np.inf)
+        np.divide(w0 + d, -step, out=lim, where=neg)
+        j = int(lim.argmin())
+        if lim[j] >= 1.0:
+            return target if np.abs(target).max() > 0.0 else None
+        d += lim[j] * step
+        d[j] = -w0[j]
+        free[j] = False
+        b += kkt[:, j] * w0[j]
+        moved = True
+
+
 def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, on_step):
     """Equality-constrained Newton on the weights of the node subset `idx`.
 
@@ -353,21 +428,26 @@ def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, on_step):
     singular.  `_reduce_support` removes them from the support, but the
     zero-weight entrants of an exchange round can bring them back, so `idx`
     may exceed the rank of its C = [D; 1^T], and the quadratic model then
-    has no unique minimizer.  The 1e-12 ridge keeps the KKT solve defined,
-    and the step stays safe because every trial is judged by its exact
-    change of B and accepted only on descent.
+    has no unique minimizer.  The 1e-12 ridge keeps the KKT solve defined
+    (its near-null component is what swaps one atom for another), and the
+    step stays safe because every trial is judged by its exact change of B
+    and accepted only on descent.
 
-    `idx` may hold nodes at zero weight (the entrants).  Each stays in the
-    solve while its KKT step is nonnegative; those whose step is negative
-    are dropped before any step is taken, and a node is also dropped once
-    an accepted step takes it to zero.  Every other negative component
-    bounds the step at the first weight boundary.  Each trial is judged on
-    its normalized weights w' = (w + delta) / sum(w + delta) through the
-    exact difference B(w') - B(w) = sum_i delta_i (B - Re(conj(k_i) k'_i)),
-    with k' the kernel coefficients at w'.  That difference does not cancel,
-    so descent is still resolved when it is far below B's rounding.  A step
-    is accepted only when it is negative; `on_step` gets the new B, and the
-    weights keep unit mass.  Returns (w, M, steps) with M consistent with w.
+    Each step minimizes the quadratic model -|k|^2 . d + d^T H d / 2 over
+    the nonnegative weights of unit mass (`_model_step`), from one H: the
+    nodes that the model empties leave in one certified step, where a step
+    cut at the first weight boundary would drop one node per step.  `idx`
+    may hold nodes at zero weight (the entrants); those whose KKT step is
+    negative leave before any move, and a node is dropped once an accepted
+    step takes it to zero.  The model's point is tried first, then halved
+    along the segment from w to it, which stays feasible by convexity.
+    Each trial is judged on its normalized weights w' = (w + delta) /
+    sum(w + delta) through the exact difference B(w') - B(w) =
+    sum_i delta_i (B - Re(conj(k_i) k'_i)), with k' the kernel coefficients
+    at w'.  That difference does not cancel, so descent is still resolved
+    when it is far below B's rounding.  A step is accepted only when it is
+    negative; `on_step` gets the new B, and the weights keep unit mass.
+    Returns (w, M, steps) with M consistent with w.
     """
     w = w.copy()
     steps = 0
@@ -387,21 +467,10 @@ def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, on_step):
         kkt[s, :s] = 1.0
         rhs = np.zeros(s + 1)
         rhs[:s] = sc  # minus the weight gradient
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        dw = sol[:s]
-        if not np.all(np.isfinite(dw)) or np.abs(dw).max() == 0.0:
+        dw = _model_step(kkt, rhs, w[idx])
+        if dw is None:
             break
-        neg = dw < 0.0
-        out = neg & (w[idx] <= _ZERO_WEIGHT)
-        if np.any(out):
-            idx = idx[~out]
-            continue
         t = 1.0
-        if np.any(neg):
-            t = min(1.0, float(np.min(w[idx][neg] / -dw[neg])))
         accepted = False
         for _ in range(30):
             v = w[idx] + t * dw
@@ -452,13 +521,25 @@ def solve_opm(
     docstring) gives the two nodes of each mirror pair bitwise equal weights,
     and `support` indexes the original grid.
     """
+    nodes = _checked(nodes, z0, n)
+    return _solve(_Work(nodes, z0, n), nodes, z0, gap_tol, max_iters, trace)
+
+
+def _checked(nodes: np.ndarray, z0: complex, n: int) -> np.ndarray:
+    """The nodes as a flat complex array, once they admit a solve of degree n at z0."""
     nodes = np.asarray(nodes, dtype=complex).ravel()
     if nodes.size < n + 1:
         raise EmptySupport(f"need at least {n + 1} nodes for degree {n}, got {nodes.size}")
     if np.min(np.abs(nodes - z0)) <= 1e-12:
         raise ValueError("prediction point z0 must not be a grid node")
+    return nodes
 
-    work = _Work(nodes, z0, n)
+
+def _solve(
+    work: _Work, nodes: np.ndarray, z0: complex, gap_tol: float, max_iters: int, trace: bool
+) -> OpmSolution:
+    """`solve_opm` on a built work of degree work.n for the grid `nodes` and z0."""
+    n = work.n
     m = work.m
     trace_vals: list[float] | None = [] if trace else None
     status, w, it = _iterate(work, work.mult / m, gap_tol, max_iters, trace_vals)
@@ -637,15 +718,32 @@ def convergence_study(
     Rows that fail numerically are recorded with a status and NaN payload
     rather than aborting the study.  Moment discrepancies compare against the
     discretized balayage of the point mass and exist for curves only.
+
+    The grid is factored once, at the largest degree it admits; every row
+    solves on the leading blocks of that factor (`_Work.leading`), so each
+    row equals its own `solve_opm` bitwise.  The factor is built in the
+    first row that passes the input checks, and its time is part of that
+    row's `seconds`.  Should that build fail, each row factors on its own.
     """
-    grid = msr.discretize_boundary(geom, m)
+    grid = np.asarray(msr.discretize_boundary(geom, m), dtype=complex)
     phi_abs = abs(geo.exterior_map(geom, z0))
     target = msr.balayage_point_mass(geom, z0, m) if geom.is_curve else None
+    top = max((nn for nn in degrees if nn < grid.size), default=0)
+    built: list[_Work | None] = []  # the work of degree `top`, once the first row has built it
+
+    def work(nn: int) -> _Work:
+        if not built:
+            try:
+                built.append(_Work(grid, z0, top))
+            except OpmlabError:
+                built.append(None)  # the rows then factor alone, each failing on its own
+        return _Work(grid, z0, nn) if built[0] is None else built[0].leading(nn)
 
     def one(nn: int) -> ConvergenceRow:
         t0 = time.perf_counter()
         try:
-            sol = solve_opm(grid, z0, nn, gap_tol=gap_tol, max_iters=max_iters)
+            _checked(grid, z0, nn)
+            sol = _solve(work(nn), grid, z0, gap_tol, max_iters, False)
         except OpmlabError as exc:
             dt = time.perf_counter() - t0
             nan = float("nan")

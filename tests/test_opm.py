@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from caratheodory_oracle import caratheodory_reference
 from degree_one_oracle import exhaustive_min, weight_grid
 from opmlab import bergman, geometry as geo, measure as msr, opm
 from opmlab.errors import EmptySupport
@@ -191,21 +192,28 @@ def test_newton_rounds_keep_unit_mass(monkeypatch):
 
 
 def test_multiple_exchange_moves_every_atom_each_round(monkeypatch):
-    """One entrant per atom cell: the ellipse and segment endgames take a few rounds, not one per grid node."""
-    rounds = []
+    """One entrant per atom cell, and Newton steps that solve their model over the
+    nonnegative weights: the ellipse and segment endgames take a few rounds of a
+    few steps, not one round per grid node or one step per node that leaves."""
+    steps = []
     newton = opm._newton_solve
 
     def counting(*args):
-        rounds.append(1)
-        return newton(*args)
+        out = newton(*args)
+        steps.append(out[2])
+        return out
 
     monkeypatch.setattr(opm, "_newton_solve", counting)
     grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660)
     assert opm.solve_opm(grid, 3.0, 12, gap_tol=1e-7).converged
-    assert len(rounds) <= 10
-    sol = opm.solve_opm(SEGMENT_GRID, 2.0, 30, gap_tol=1e-8)
-    assert sol.converged
-    assert sol.iterations <= 100
+    assert len(steps) <= 10
+    assert max(steps) <= 8
+    for z0, most in ((2.0, 30), (1j, 35)):
+        steps.clear()
+        sol = opm.solve_opm(SEGMENT_GRID, z0, 30, gap_tol=1e-8)
+        assert sol.converged
+        assert sol.iterations <= most
+        assert max(steps) <= 8, (z0, steps)
 
 
 def test_exchange_leaves_no_split_atom():
@@ -412,6 +420,33 @@ def test_solver_deterministic():
     assert np.array_equal(a.measure.weights, b.measure.weights)
 
 
+def _random_constraints(rng, rows, cols):
+    """A mass row under standard normal rows, as `_reduce_support` builds C."""
+    return np.vstack((rng.standard_normal((rows - 1, cols)), np.ones(cols)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_caratheodory_matches_the_deleting_reference(seed):
+    """The in-place elimination gives bitwise the weights of the reference that
+    deletes each pivot column; C @ W stays and at most rank(C) weights are left."""
+    rng = np.random.default_rng(seed)
+    r = 6 + 8 * seed
+    cases = [_random_constraints(rng, r, 2 * r), _random_constraints(rng, r, 4 * r)]
+    C = _random_constraints(rng, r, 3 * r)
+    C[1] = 2.0 * C[0]  # rank deficient
+    cases.append(C)
+    for C in cases:
+        sv = np.linalg.svd(C, compute_uv=False)
+        rank = int(np.count_nonzero(sv > 1e-12 * sv[0]))
+        W = rng.random(C.shape[1])
+        W /= W.sum()
+        out = opm._caratheodory(C, W, rank)
+        assert np.array_equal(out, caratheodory_reference(C, W, rank))
+        assert np.abs(C @ out - C @ W).max() <= 1e-13
+        assert np.all(out >= 0.0)
+        assert np.count_nonzero(out) <= rank
+
+
 def test_tiny_oracle_degree_one():
     """Exhaustive weight search on 4 nodes agrees with the solver at n = 1."""
     rng = np.random.default_rng(9)
@@ -452,6 +487,29 @@ def test_convergence_study_rows():
         assert 0.0 < r.tilde_bergman <= 1.0 + 1e-9
         assert r.moment_discrepancy is not None
         assert r.seconds >= 0.0
+
+
+def test_convergence_study_rows_equal_single_solves(monkeypatch):
+    """The study factors the grid once, at its top degree; each row still equals
+    its own `solve_opm` bitwise."""
+    sols = []
+    solve = opm._solve
+
+    def recording(*args):
+        sols.append(solve(*args))
+        return sols[-1]
+
+    monkeypatch.setattr(opm, "_solve", recording)
+    g = geo.ellipse(2.0, 1.0)
+    rows = opm.convergence_study(g, 3.0, [4, 8, 12, 16], 330)
+    monkeypatch.undo()
+    grid = msr.discretize_boundary(g, 330)
+    for r, s in zip(rows, sols, strict=True):
+        ref = opm.solve_opm(grid, 3.0, r.n)
+        assert (r.objective, r.gap) == (ref.objective, ref.certificate_gap)
+        assert r.iterations == ref.iterations
+        assert np.array_equal(s.support, ref.support)
+        assert np.array_equal(s.measure.weights, ref.measure.weights)
 
 
 def test_convergence_study_interval_has_no_moment_column():
