@@ -266,18 +266,18 @@ def _caratheodory(C: np.ndarray, W: np.ndarray, rank: int):
     Each vector moves W to its first boundary, and the zeroed entry is then
     eliminated from the remaining vectors with the one that has the largest
     entry there, so every multiplier is at most 1 in modulus.  The
-    elimination runs in place on the columns not yet used: the pivot
-    column becomes exactly zero (its multiplier is x / x = 1) and is passed
-    over when its turn comes, so no column is deleted or copied.
+    elimination runs in place on the vectors not yet used: the pivot vector
+    becomes exactly zero (its multiplier is x / x = 1) and is passed over
+    when its turn comes, so no vector is deleted or copied.
     """
-    V = np.linalg.svd(C)[2][rank:].T
+    V = np.linalg.svd(C)[2][rank:]  # one null vector per row
     W = W.copy()
     ratios = np.empty(W.size)
-    c = 0  # the columns before c are used up
-    while c < V.shape[1]:
-        v = V[:, c]
+    c = 0  # the rows before c are used up
+    while c < V.shape[0]:
+        v = V[c]
         neg = v < 0.0
-        if not neg.any():  # sum(v) = 0 (the mass row): an eliminated column, or rounding
+        if not neg.any():  # sum(v) = 0 (the mass row): an eliminated vector, or rounding
             c += 1
             continue
         ratios.fill(-np.inf)
@@ -286,10 +286,10 @@ def _caratheodory(C: np.ndarray, W: np.ndarray, rank: int):
         W -= ratios[p] * v
         np.maximum(W, 0.0, out=W)
         W[p] = 0.0
-        row = V[p, c:]
-        j = c + int(np.abs(row).argmax())
-        V[:, c:] -= V[:, j, None] * (row / V[p, j])  # column j becomes exactly zero
-        row[:] = 0.0
+        col = V[c:, p]
+        j = c + int(np.abs(col).argmax())
+        V[c:] -= (col / V[j, p])[:, None] * V[j]  # row j becomes exactly zero
+        col[:] = 0.0
     return W
 
 
@@ -373,8 +373,9 @@ def _model_step(kkt: np.ndarray, rhs: np.ndarray, w0: np.ndarray):
     on the free nodes and moves from the current d toward that solution up
     to the first weight boundary; the node found there is fixed at zero
     (d_j = -w0_j, its pull kkt[:, j] w0_j moved to the right-hand side), so
-    nodes only leave.  Zero-weight nodes whose direction is negative at the
-    start leave together before any move, as a boundary at step length 0.
+    nodes only leave.  Nodes at zero weight (at most `_ZERO_WEIGHT`) whose
+    direction is negative at the start leave together before any move, as a
+    boundary at step length 0, fixed the same way.
     The model decreases along every move, and the loop ends when the
     solution on the free nodes is feasible.  Returns that d, or None when
     the solve yields no usable direction.
@@ -402,6 +403,7 @@ def _model_step(kkt: np.ndarray, rhs: np.ndarray, w0: np.ndarray):
             out = neg & (w0 <= _ZERO_WEIGHT)
             if out.any():
                 free &= ~out
+                d[out] = -w0[out]
                 b += kkt[:, np.flatnonzero(out)] @ w0[out]
                 continue
         lim.fill(np.inf)
@@ -721,29 +723,24 @@ def convergence_study(
 
     The grid is factored once, at the largest degree it admits; every row
     solves on the leading blocks of that factor (`_Work.leading`), so each
-    row equals its own `solve_opm` bitwise.  The factor is built in the
-    first row that passes the input checks, and its time is part of that
-    row's `seconds`.  Should that build fail, each row factors on its own.
+    row equals its own `solve_opm` bitwise.  The first row's `seconds`
+    include that build.  Should the build fail, each row factors on its own.
     """
     grid = np.asarray(msr.discretize_boundary(geom, m), dtype=complex)
     phi_abs = abs(geo.exterior_map(geom, z0))
     target = msr.balayage_point_mass(geom, z0, m) if geom.is_curve else None
-    top = max((nn for nn in degrees if nn < grid.size), default=0)
-    built: list[_Work | None] = []  # the work of degree `top`, once the first row has built it
+    t0 = time.perf_counter()
+    top = max((nn for nn in degrees if nn < grid.size), default=None)
+    try:
+        shared = None if top is None else _Work(grid, z0, top)
+    except OpmlabError:
+        shared = None  # the rows then factor alone, each failing on its own
 
-    def work(nn: int) -> _Work:
-        if not built:
-            try:
-                built.append(_Work(grid, z0, top))
-            except OpmlabError:
-                built.append(None)  # the rows then factor alone, each failing on its own
-        return _Work(grid, z0, nn) if built[0] is None else built[0].leading(nn)
-
-    def one(nn: int) -> ConvergenceRow:
-        t0 = time.perf_counter()
+    def one(nn: int, t0: float) -> ConvergenceRow:
         try:
             _checked(grid, z0, nn)
-            sol = _solve(work(nn), grid, z0, gap_tol, max_iters, False)
+            work = _Work(grid, z0, nn) if shared is None else shared.leading(nn)
+            sol = _solve(work, grid, z0, gap_tol, max_iters, False)
         except OpmlabError as exc:
             dt = time.perf_counter() - t0
             nan = float("nan")
@@ -767,4 +764,8 @@ def convergence_study(
             status=sol.status,
         )
 
-    return [one(nn) for nn in degrees]
+    rows = []
+    for nn in degrees:
+        rows.append(one(nn, t0))
+        t0 = time.perf_counter()
+    return rows

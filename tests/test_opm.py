@@ -6,7 +6,7 @@ import pytest
 from caratheodory_oracle import caratheodory_reference
 from degree_one_oracle import exhaustive_min, weight_grid
 from opmlab import bergman, geometry as geo, measure as msr, opm
-from opmlab.errors import EmptySupport
+from opmlab.errors import EmptySupport, RankDeficient
 
 
 CIRCLE_GRID = msr.discretize_boundary(geo.unit_circle(), 512)
@@ -214,6 +214,32 @@ def test_multiple_exchange_moves_every_atom_each_round(monkeypatch):
         assert sol.converged
         assert sol.iterations <= most
         assert max(steps) <= 8, (z0, steps)
+
+
+def test_model_step_fixes_a_tiny_weight_that_leaves(monkeypatch):
+    """A node at a weight below `_ZERO_WEIGHT` whose free direction is negative
+    leaves once, at d = -w0, and the active set ends."""
+    solves = []
+    solve = np.linalg.solve
+
+    def counting(A, b):
+        solves.append(A.shape[0])
+        assert len(solves) <= 4, "the active set does not end"
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    s = 3
+    kkt = np.zeros((s + 1, s + 1))
+    kkt[:s, :s] = 2.0 * np.eye(s)
+    kkt[:s, s] = kkt[s, :s] = 1.0
+    rhs = np.array([0.0, 1.0, 1.0, 0.0])  # unconstrained: d = (-1/3, 1/6, 1/6)
+    w0 = np.array([1e-16, 0.5, 0.5 - 1e-16])
+    d = opm._model_step(kkt, rhs, w0)
+    assert d is not None
+    assert d[0] == -w0[0]
+    assert np.all(w0 + d >= 0.0)
+    assert abs(d.sum()) <= 1e-15
+    assert solves == [s + 1, s]
 
 
 def test_exchange_leaves_no_split_atom():
@@ -523,3 +549,25 @@ def test_convergence_study_records_row_errors():
     assert rows[0].status == "converged"
     assert rows[1].status.startswith("error:")
     assert np.isnan(rows[1].objective)
+
+
+def test_convergence_study_rows_survive_a_failed_top_build(monkeypatch):
+    """When the top degree's basis cannot be built, each lower row factors on
+    its own and equals its own `solve_opm`; the top row records the error."""
+    factor = bergman.factor_nodes
+
+    def failing(nodes, weights, n, mirror=None):
+        if n == 16:
+            raise RankDeficient("injected")
+        return factor(nodes, weights, n, mirror)
+
+    monkeypatch.setattr(bergman, "factor_nodes", failing)
+    g = geo.ellipse(2.0, 1.0)
+    rows = opm.convergence_study(g, 3.0, [4, 8, 16], 330)
+    monkeypatch.undo()
+    assert rows[2].status == "error: injected"
+    grid = msr.discretize_boundary(g, 330)
+    for r in rows[:2]:
+        ref = opm.solve_opm(grid, 3.0, r.n)
+        assert r.status == ref.status == "converged"
+        assert (r.objective, r.gap, r.iterations) == (ref.objective, ref.certificate_gap, ref.iterations)
