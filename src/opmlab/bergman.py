@@ -40,7 +40,7 @@ class _Factor:
     H: np.ndarray  # (n+1, n) Hessenberg: z q_k = sum_{j<=k+1} H[j,k] q_j
     q0: float  # the constant q_0 = 1/sqrt(total weight)
     degree: int
-    Q: np.ndarray  # (n+1, m) orthonormal node rows Q[k, i] = sqrt(w_i) q_k(x_i)
+    Q: np.ndarray  # (n+1, m) node rows Q[k, i] = sqrt(w_i) q_k(x_i); mirrored: Im x >= 0 only
 
 
 def _mirror(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
@@ -78,8 +78,8 @@ def factor_nodes(
     orthonormal polynomials have real coefficients, so only the nodes with
     Im x >= 0 are orthogonalized, a mirror pair {x, conj x} carrying its
     joint weight, and only the real part of each projection is kept: H is
-    real, and the values at conj x are set to the exact conjugates of those
-    at x.  Real nodes (the segment) are their own mirrors without being told:
+    real, and Q keeps those nodes' columns (conj x has the conjugate values).
+    Real nodes (the segment) are their own mirrors without being told:
     Q and H are then float64, built in real arithmetic.  Evaluation through
     `_features` stays complex, since evaluation points need not be real.
     """
@@ -127,10 +127,6 @@ def factor_nodes(
         Q[k + 1] = v / norm
     if x.size < nodes.size:
         Q = Q / np.sqrt(pairs)  # back to the node weights
-        full = np.empty((n + 1, nodes.size), dtype=Q.dtype)
-        full[:, rep] = Q
-        full[:, mirror[rep]] = Q.conj()
-        Q = full
     return _Factor(H=H, q0=q0, degree=n, Q=Q)
 
 

@@ -528,15 +528,17 @@ _COMMANDS = {
 }
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="opmlab",
+    description="optimal prediction measures: experiments and verification",
+)
+_SUBPARSERS = _PARSER.add_subparsers(dest="command", required=True)
+for _name in _COMMANDS:
+    _add_flags(_SUBPARSERS.add_parser(_name))
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="opmlab",
-        description="optimal prediction measures: experiments and verification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        _add_flags(sub.add_parser(name))
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         overrides = {

@@ -19,7 +19,7 @@ share one certificate primitive (the node scores |K_n(x_i, z0)|^2):
     Newton step removes the slow endgame of reweighting when the grid
     optimum splits an atom across adjacent nodes.
 
-Before each Newton round the support is reduced without changing B.  With
+Before a Newton round a large support is reduced without changing B.  With
 L the Cholesky factor of M and Li = L^{-1} its inverse (which
 `_Work.core_state` returns, so that no triangular solve is needed),
 y = M^{-1} c, k_i = u_i^H y and G the matrix with columns Li u_i k_i, the
@@ -60,8 +60,8 @@ there only c, y, k and G are complex.  No flag selects any of this; `_Work`
 reads it off the grid and z0, once.
 
 Each step is accepted only on certified descent, so the objective is
-nonincreasing across iterations; a reduction is not a step and leaves the
-objective as it was.
+nonincreasing across iterations up to rounding: a reduction is not a step,
+and in floating point it moves B (measured up to 1.4e-12 relative).
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class _Work:
         self.mirror = mirror[self.rep] if self.fold else self.rep
         self.mult = np.where(self.mirror == self.rep, 1.0, 2.0)
         self.nodes = nodes[self.rep]
-        self._set_basis((np.sqrt(self.m) * fac.Q[:, self.rep]).T, c.real if self.fold else c)
+        self._set_basis(np.ascontiguousarray(np.sqrt(self.m) * fac.Q.T), c.real if self.fold else c)
 
     def _set_basis(self, U: np.ndarray, c: np.ndarray) -> None:
         """Set U and c, and the arrays the products read from U."""
@@ -294,7 +294,7 @@ def _caratheodory(C: np.ndarray, W: np.ndarray, rank: int):
 
 
 def _reduce_support(work: _Work, w: np.ndarray, M, Li, B: float, y):
-    """B-neutral Caratheodory reduction of the support.
+    """Caratheodory reduction of a support larger than twice the rows of C.
 
     Moves weight along the null space of C = [D; 1^T], with D = `_Work.frame`
     of the columns Li u_i k_i / sqrt(B) and Li = L^{-1} the inverse Cholesky
@@ -303,26 +303,24 @@ def _reduce_support(work: _Work, w: np.ndarray, M, Li, B: float, y):
     at real z0 included) D = Re G, C has n + 2 rows and at most n + 2 orbits
     are left.
     The 1/sqrt(B) scaling keeps the mass row on the scale of the others,
-    since B reaches 1e33.  Large supports are first merged in twice as many
-    contiguous groups as C has rows, each moving by a common factor
-    (recombination), so one small SVD removes about half of them.  The
-    atoms left define the cells from which `_iterate` draws the entrants of
-    the round.
+    since B reaches 1e33.  The support is merged in twice as many contiguous
+    groups as C has rows, each moving by a common factor (recombination), so
+    one small SVD removes about half of them.  The atoms left define the
+    cells from which `_iterate` draws the entrants of the round.
 
-    Returns (w, M, Li, y) for the reduced weights, or the inputs when no node
-    can be removed.  Returns None when the reduction fails: a pass removes
-    nothing, the reduced moment matrix is not positive definite, or the
-    recomputed B is above B by more than rounding (1e-14 relative).
+    Returns (w, M, Li, B, y) at the reduced weights, B recomputed: rounding
+    moves it (measured up to 1.4e-12 relative).  A support of at most twice
+    the rows of C is returned as it is.
     """
     pos = np.flatnonzero(w)
     C = np.vstack((work.frame(Li, pos, work.kernel(y, pos) / np.sqrt(B)), np.ones(pos.size)))
+    groups = 2 * C.shape[0]
+    if pos.size <= groups:
+        return w, M, Li, B, y
     sv = np.linalg.svd(C, compute_uv=False)
     rank = int(np.count_nonzero(sv > 1e-12 * sv[0]))
-    if pos.size <= rank:
-        return w, M, Li, y
     wp = w[pos]
     live = np.arange(pos.size)
-    groups = 2 * C.shape[0]
     while live.size > groups:
         starts = np.arange(groups) * live.size // groups
         Wg = np.add.reduceat(wp[live], starts)
@@ -332,7 +330,7 @@ def _reduce_support(work: _Work, w: np.ndarray, M, Li, B: float, y):
         del Cw
         scale = np.repeat(_caratheodory(Cg, Wg, rank) / Wg, np.diff(starts, append=live.size))
         if np.all(scale > 0.0):
-            return None  # a null vector always zeroes a group, so only rounding gets here
+            break  # a null vector always zeroes a group, so only rounding gets here
         wp[live] *= scale
         live = live[scale > 0.0]
     wp[live] = _caratheodory(C[:, live], wp[live], rank)
@@ -340,13 +338,7 @@ def _reduce_support(work: _Work, w: np.ndarray, M, Li, B: float, y):
     w_red = np.zeros_like(w)
     w_red[pos] = wp / wp.sum()
     M_red = work.moment_matrix(w_red)
-    try:
-        Li_red, B_red, y_red = work.core_state(M_red)
-    except np.linalg.LinAlgError:
-        return None
-    if B_red > B * (1.0 + 1e-14):
-        return None
-    return w_red, M_red, Li_red, y_red
+    return w_red, M_red, *work.core_state(M_red)
 
 
 def _cell_entrants(nodes: np.ndarray, w: np.ndarray, scores: np.ndarray, threshold: float):
@@ -577,7 +569,7 @@ def _iterate(
     solves the cases whose optimum keeps broad support outright (one step
     from uniform lands on the discretized balayage); it ends at the first
     rejected step or after `_WARMUP_STEPS` steps.  Exchange rounds follow:
-    a B-neutral reduction of the support to at most 2n + 3 nodes, n + 2
+    a B-neutral reduction of a large support to at most 2n + 3 nodes, n + 2
     orbits when folded (`_reduce_support`), then a Newton solve on those
     atoms plus one zero-weight entrant per atom cell (`_cell_entrants`),
     among nodes scoring above B (1 + gap_tol / 4), the bound at which
@@ -586,12 +578,12 @@ def _iterate(
 
     An iteration is one accepted step of either type.  A reduction is not a
     step: it moves weight only along directions that leave y = M^{-1} c,
-    and so B, exactly as they were, so it neither counts as an iteration
-    nor adds a trace entry, and Newton continues from the B before it.  A
-    reduction whose recomputed B disagrees beyond rounding ends the solve as
-    "numerical" rather than hand Newton a singular system on the whole
-    support.  The objective trace holds the starting B and the B after each
-    accepted step, so it has iterations + 1 entries and is nonincreasing.
+    and so B, as they were up to rounding (measured up to 1.4e-12
+    relative), so it neither counts as an iteration nor adds a trace entry;
+    Newton continues from the B recomputed at the reduced weights.  The
+    objective trace holds the starting B and the B after each accepted
+    step, so it has iterations + 1 entries and is nonincreasing up to that
+    drift.
 
     Returns (status, best-gap weights, iterations used).
     """
@@ -636,12 +628,9 @@ def _iterate(
         it_round = it
 
         try:
-            reduced = _reduce_support(work, w, M, Li, B, y)
+            w, M, Li, B, y = _reduce_support(work, w, M, Li, B, y)
         except np.linalg.LinAlgError:
-            reduced = None
-        if reduced is None:
             return "numerical", best_w, it
-        w, M, Li, y = reduced
         # the max-score node is in the support or heads its own cell
         entrants = _cell_entrants(work.nodes, w, scores, B * (1.0 + 0.25 * gap_tol))
         keep = w != 0.0  # a mask, not np.union1d, which imports numpy.ma (~19 ms)
