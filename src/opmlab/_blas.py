@@ -40,7 +40,7 @@ def loaded_openblas() -> list[str]:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {
                 f[5].strip()
-                for f in (line.split(maxsplit=5) for line in fh)
+                for f in (line.split(maxsplit=5) for line in fh if "openblas" in line)
                 if len(f) == 6 and "openblas" in os.path.basename(f[5].strip())
             }
     except OSError:

@@ -35,6 +35,13 @@ def _circle_points(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _herglotz(m: int, z: complex) -> np.ndarray:
+    """The Herglotz kernel (p + z) / (p - z) on the m-point grid, cached read-only."""
+    pts = _circle_points(m)
+    return _read_only((pts + z) / (pts - z))
+
+
+@lru_cache(maxsize=8)
 def _trig_table(m: int, max_degree: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """(cos k t, sin k t) for k = 1..max_degree on t = 2 pi j / m, cached read-only."""
     t = 2.0 * np.pi * np.arange(m) / m
@@ -107,9 +114,7 @@ def szego_function_raw(values: np.ndarray, z: complex) -> complex:
         raise NotSzegoClass(
             f"density min {values.min():.3e} below floor {_DENSITY_FLOOR:.0e}"
         )
-    pts = _circle_points(values.size)
-    herglotz = (pts + z) / (pts - z)
-    integral = np.sum(herglotz * np.log(values)) / (2.0 * values.size)
+    integral = np.sum(_herglotz(values.size, z) * np.log(values)) / (2.0 * values.size)
     return complex(np.exp(integral))
 
 

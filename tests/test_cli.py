@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,17 @@ class TestVerifyCommand:
         rep = json.loads(ra)
         assert rep["all_passed"] is True
         assert len(rep["checks"]) == 9
+
+    def test_faber_decay_check_peak_memory_below_1mb(self):
+        """Building its Laurent curve allocates nothing quadratic in a sample count."""
+        verify.check_faber_decay()  # first call pays any one-time imports
+        tracemalloc.start()
+        try:
+            assert verify.check_faber_decay().passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     def test_fault_injection_fails_the_suite(self, tmp_path, monkeypatch):
         """A wrong balayage weight, or one NaN Bergman value or Szego lambda, must fail the suite."""

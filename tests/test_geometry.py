@@ -42,6 +42,19 @@ def test_invalid_shapes_rejected():
             bad()
 
 
+def test_near_margin_laurent_curve_is_accepted():
+    """sum k|b_k| = 0.999 < capacity proves Psi univalent, so no sampling is needed to accept it."""
+    g = geo.laurent_curve(1.0, 0.0, (0.0, 0.4995))
+    z = geo.level_curve_nodes(g, 1.0, 512)
+    sep = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(sep, np.inf)
+    assert sep.min() > 0.0  # the bound's promise, seen on the boundary samples
+    # a slit-thin ellipse whose 512 boundary samples lie 2.5e-10 apart is univalent too
+    assert geo.laurent_curve(1.0, 0.0, (1.0 - 1e-8,)).capacity == 1.0
+    with pytest.raises(InvalidGeometry):  # the bound is strict
+        geo.laurent_curve(1.0, 0.0, (0.0, 0.5))
+
+
 def test_circle_maps_are_identity():
     g = geo.unit_circle()
     for z in (2.0, 1.5j, -3.0 + 0.25j):

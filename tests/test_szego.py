@@ -57,6 +57,26 @@ def test_random_density_matches_the_uncached_formula(seed):
     assert np.array_equal(szego.uniform_density(m).points, np.exp(2j * np.pi * np.arange(m) / m))
 
 
+def test_herglotz_kernel_is_read_only_and_exact():
+    m = 4096
+    pts = np.exp(2j * np.pi * np.arange(m) / m)
+    for z in (0.5 + 0j, 0.3 - 0.2j, -0.7j):
+        kernel = szego._herglotz(m, z)
+        assert not kernel.flags.writeable
+        assert np.array_equal(kernel, (pts + z) / (pts - z))
+        assert szego._herglotz(m, z) is kernel
+
+
+def test_szego_function_raw_matches_the_uncached_formula():
+    values = szego.random_density(4096, np.random.default_rng(5)).values
+    pts = np.exp(2j * np.pi * np.arange(values.size) / values.size)
+    for z in (0.0, 0.5, 0.3 - 0.2j, -0.7j, 0.98):
+        z = complex(z)
+        expected = complex(np.exp(np.sum((pts + z) / (pts - z) * np.log(values)) / (2.0 * values.size)))
+        assert szego.szego_function_raw(values, z) == expected  # bitwise
+        assert szego.szego_function_raw(values, z) == expected  # and again from the cache
+
+
 def test_szego_function_multiplicative_scaling():
     """D(c * f) = sqrt(c) * D(f): the geometric-mean structure of the exponent."""
     rng = np.random.default_rng(21)
