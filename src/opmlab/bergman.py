@@ -227,6 +227,13 @@ def tilde_monotonicity_defect(
         raise CurveRequired("tilde monotonicity compares curve geometries only")
     if not (0 < n <= N):
         raise ValueError(f"need 0 < n <= N, got n={n}, N={N}")
+    return _tilde_defect(geom, mu, N, n, z)
+
+
+def _tilde_defect(
+    geom: geo.CurveGeometry, mu: DiscreteMeasure, N: int, n: int, z: complex
+) -> float:
+    """`tilde_monotonicity_defect` without its checks, so it is defined on arcs too."""
     B_hi, B_lo = _nested_values(factorize(mu, N), z, N - n)
     growth = abs(geo.exterior_map(geom, z)) ** (2 * n)
     return float((B_lo / B_hi) * growth - 1.0)

@@ -121,10 +121,15 @@ def geometry_from_obj(obj) -> geo.CurveGeometry:
     if kind == "interval":
         return geo.interval()
     if kind == "ellipse":
-        try:
-            return geo.ellipse(float(obj["a"]), float(obj["b"]))
-        except KeyError as exc:
-            raise ConfigError(f"geometry.{exc.args[0]}: required for an ellipse") from None
+        axes = []
+        for key in ("a", "b"):
+            if key not in obj:
+                raise ConfigError(f"geometry.{key}: required for an ellipse")
+            try:
+                axes.append(float(obj[key]))
+            except (TypeError, ValueError):
+                raise ConfigError(f"geometry.{key}: expected a number, got {obj[key]!r}") from None
+        return geo.ellipse(*axes)
     if kind == "laurent":
         try:
             capacity = float(obj["capacity"])

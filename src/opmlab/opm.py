@@ -30,7 +30,7 @@ along such directions to a weight boundary (a Caratheodory reduction) leaves
 at most rank([D; 1^T]) <= 2n + 3 nodes; a c-optimal design has an optimum
 with at most 2n + 1 atoms.  The cell entrants come on top of that set, so
 the Newton KKT matrix may be singular; a ridge keeps the solve defined, and
-each trial step is judged by its exact change of B.  A Newton step solves
+each step is judged by its exact change of B.  A Newton step solves
 its quadratic model over the nonnegative weights, not only up to the first
 weight boundary, so the nodes it empties leave in one step: the support
 moves to the grid optimum in a few steps per round, not one node per step.
@@ -61,7 +61,9 @@ reads it off the grid and z0, once.
 
 Each step is accepted only on certified descent, so the objective is
 nonincreasing across iterations up to rounding: a reduction is not a step,
-and in floating point it moves B (measured up to 1.4e-12 relative).
+and in floating point it moves B (measured up to 1.4e-12 relative).  Each
+iterate is certified once, in `_iterate`, and the solution reports the
+weights, B and gap of the lowest-gap one as they were certified there.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ from . import bergman, geometry as geo, measure as msr
 from .errors import EmptySupport, OpmlabError
 from .measure import DiscreteMeasure
 
-_WEIGHT_FLOOR = 1e-8
 _WARMUP_STEPS = 10
 _NEWTON_STEPS = 40
 _ZERO_WEIGHT = 1e-15  # a weight at or below this, on unit mass, counts as zero
@@ -90,12 +91,16 @@ class OpmSolution:
     point: complex
     objective: float
     certificate_gap: float
-    iterations: int
     status: str  # "converged" | "max_iters" | "stalled" | "numerical"
     support: np.ndarray = field(repr=False)
     measure: DiscreteMeasure = field(repr=False)
-    grid_size: int = 0
-    objective_trace: np.ndarray | None = field(default=None, repr=False)
+    grid_size: int
+    objective_trace: np.ndarray = field(repr=False)  # the starting B, then one B per step
+
+    @property
+    def iterations(self) -> int:
+        """Accepted steps: one per trace entry after the start."""
+        return self.objective_trace.size - 1
 
     @property
     def converged(self) -> bool:
@@ -410,7 +415,7 @@ def _model_step(kkt: np.ndarray, rhs: np.ndarray, w0: np.ndarray):
         moved = True
 
 
-def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, on_step):
+def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, trace: list[float]):
     """Equality-constrained Newton on the weights of the node subset `idx`.
 
     With Li = L^{-1} the inverse Cholesky factor of M, G = Li U_idx^T diag(k)
@@ -424,26 +429,27 @@ def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, on_step):
     may exceed the rank of its C = [D; 1^T], and the quadratic model then
     has no unique minimizer.  The 1e-12 ridge keeps the KKT solve defined
     (its near-null component is what swaps one atom for another), and the
-    step stays safe because every trial is judged by its exact change of B
-    and accepted only on descent.
+    step stays safe because it is judged by its exact change of B and taken
+    only on descent.
 
     Each step minimizes the quadratic model -|k|^2 . d + d^T H d / 2 over
     the nonnegative weights of unit mass (`_model_step`), from one H: the
     nodes that the model empties leave in one certified step, where a step
     cut at the first weight boundary would drop one node per step.  `idx`
     may hold nodes at zero weight (the entrants); those whose KKT step is
-    negative leave before any move, and a node is dropped once an accepted
-    step takes it to zero.  The model's point is tried first, then halved
-    along the segment from w to it, which stays feasible by convexity.
-    Each trial is judged on its normalized weights w' = (w + delta) /
-    sum(w + delta) through the exact difference B(w') - B(w) =
+    negative leave before any move, and a node is dropped once a step takes
+    it to zero.  The model's point is tried first, then halved along the
+    segment from w to it, which stays feasible by convexity: close to K the
+    full step can ascend (the segment at x0 = 1.01), and a halved one then
+    descends.  Each trial is judged on its normalized weights w' = (w +
+    delta) / sum(w + delta) through the exact difference B(w') - B(w) =
     sum_i delta_i (B - Re(conj(k_i) k'_i)), with k' the kernel coefficients
     at w'.  That difference does not cancel, so descent is still resolved
-    when it is far below B's rounding.  A step is accepted only when it is
-    negative; `on_step` gets the new B, and the weights keep unit mass.
+    when it is far below B's rounding.  A step is taken only when it is
+    negative, and its B is appended to `trace`; the round ends when no
+    trial descends.  The weights keep unit mass.
     Returns (w, M, steps) with M consistent with w.
     """
-    w = w.copy()
     steps = 0
     while steps < _NEWTON_STEPS:
         s = idx.size
@@ -464,10 +470,8 @@ def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, on_step):
         dw = _model_step(kkt, rhs, w[idx])
         if dw is None:
             break
-        t = 1.0
-        accepted = False
-        for _ in range(30):
-            v = w[idx] + t * dw
+        for h in range(30):  # the model's point, then halved toward w
+            v = w[idx] + 0.5**h * dw
             v[v <= _ZERO_WEIGHT] = 0.0
             w_try = w.copy()
             w_try[idx] = v
@@ -476,18 +480,15 @@ def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, on_step):
             try:
                 Li_try, _, y_try = work.core_state(M_try)
             except np.linalg.LinAlgError:
-                t *= 0.5
                 continue
             dB = float((v - w[idx]) @ (B - np.real(np.conj(k) * work.kernel(y_try, idx))))
             if dB < 0.0:
-                w, M, Li, B, y = w_try, M_try, Li_try, B + dB, y_try
-                accepted = True
-                steps += 1
-                on_step(B)
                 break
-            t *= 0.5
-        if not accepted:
-            break
+        else:
+            break  # no trial descends
+        w, M, Li, B, y = w_try, M_try, Li_try, B + dB, y_try
+        steps += 1
+        trace.append(B)
         idx = idx[w[idx] > 0.0]
     return w, M, steps
 
@@ -499,24 +500,21 @@ def solve_opm(
     *,
     gap_tol: float = 1e-6,
     max_iters: int = 20000,
-    trace: bool = False,
 ) -> OpmSolution:
     """Minimize B_n(., z0) over probability measures on `nodes`.
 
     Starts from uniform weights.  Returns a converged solution, or the best
     iterate flagged via `status` when the budget or the numerical floor is
-    hit.  Weights below 1e-8 are zeroed and the rest renormalized on output,
-    unless that would drop the support below n + 1 points or lift the
-    certificate gap above `gap_tol`; in the latter case the output keeps
-    whichever of the floored and unfloored weights has the smaller gap.
-    `status` is "converged" only when the reported gap is at most `gap_tol`.
-    A folded solve (real z0 on a grid that conjugation maps onto itself, or
-    z0 = i a on one that x -> -conj(x) maps onto itself, see the module
-    docstring) gives the two nodes of each mirror pair bitwise equal weights,
-    and `support` indexes the original grid.
+    hit.  The reported objective, gap and weights are those of the best
+    certified iterate of `_iterate`, so `status` is "converged" exactly when
+    the reported gap is at most `gap_tol`.  A folded solve (real z0 on a
+    grid that conjugation maps onto itself, or z0 = i a on one that
+    x -> -conj(x) maps onto itself, see the module docstring) gives the two
+    nodes of each mirror pair bitwise equal weights, and `support` indexes
+    the original grid.
     """
     nodes = _checked(nodes, z0, n)
-    return _solve(_Work(nodes, z0, n), nodes, z0, gap_tol, max_iters, trace)
+    return _solve(_Work(nodes, z0, n), nodes, z0, gap_tol, max_iters)
 
 
 def _checked(nodes: np.ndarray, z0: complex, n: int) -> np.ndarray:
@@ -530,39 +528,27 @@ def _checked(nodes: np.ndarray, z0: complex, n: int) -> np.ndarray:
 
 
 def _solve(
-    work: _Work, nodes: np.ndarray, z0: complex, gap_tol: float, max_iters: int, trace: bool
+    work: _Work, nodes: np.ndarray, z0: complex, gap_tol: float, max_iters: int
 ) -> OpmSolution:
     """`solve_opm` on a built work of degree work.n for the grid `nodes` and z0."""
-    n = work.n
-    m = work.m
-    trace_vals: list[float] | None = [] if trace else None
-    status, w, it = _iterate(work, work.mult / m, gap_tol, max_iters, trace_vals)
-    w, B, gap, status = _finalize(work, w, status, gap_tol)
-
+    status, (gap, B, w), trace = _iterate(work, work.mult / work.m, gap_tol, max_iters)
     w = work.unfold(w)
     support = np.flatnonzero(w > 0.0)
     mu = DiscreteMeasure(nodes[support], w[support] / w[support].sum())
     return OpmSolution(
-        degree=n,
+        degree=work.n,
         point=complex(z0),
         objective=B,
         certificate_gap=gap,
-        iterations=it,
         status=status,
         support=support,
         measure=mu,
-        grid_size=m,
-        objective_trace=np.asarray(trace_vals) if trace else None,
+        grid_size=work.m,
+        objective_trace=np.asarray(trace),
     )
 
 
-def _iterate(
-    work: _Work,
-    w: np.ndarray,
-    gap_tol: float,
-    max_iters: int,
-    trace_vals: list[float] | None,
-):
+def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int):
     """Run certified-descent steps until converged, stalled, or out of budget.
 
     One loop with two phases.  A warmup of multiplicative reweighting steps
@@ -576,6 +562,10 @@ def _iterate(
     `_newton_solve` stops.  A round that takes no step ends the solve as
     stalled, because the next round would repeat it.
 
+    Every iterate is certified here, once: its B and gap come from one
+    factorization of its moment matrix.  The start is the uniform weights,
+    where M = I, so that certification always succeeds.
+
     An iteration is one accepted step of either type.  A reduction is not a
     step: it moves weight only along directions that leave y = M^{-1} c,
     and so B, as they were up to rounding (measured up to 1.4e-12
@@ -585,86 +575,50 @@ def _iterate(
     step, so it has iterations + 1 entries and is nonincreasing up to that
     drift.
 
-    Returns (status, best-gap weights, iterations used).
+    Returns (status, (gap, B, w) of the lowest-gap certified iterate, trace).
     """
-    it = 0
-    best_gap = np.inf
-    best_w = w.copy()
+    trace: list[float] = []
+    best = (np.inf, np.nan, w)
     warmup = True
     it_round = -1
-
-    def step_taken(B):
-        nonlocal it
-        it += 1
-        if trace_vals is not None:
-            trace_vals.append(B)
-
     M = work.moment_matrix(w)
     while True:
         try:
             Li, B, y, scores = work.scores_state(M)
         except np.linalg.LinAlgError:
-            return "numerical", best_w, it
-        if trace_vals is not None and not trace_vals:
-            trace_vals.append(B)  # the starting point
+            return "numerical", best, trace
+        if not trace:
+            trace.append(B)  # the starting point
+        it = len(trace) - 1
         gap = float(scores.max() / B - 1.0)
-        if gap < best_gap:
-            best_gap = gap
-            best_w = w.copy()
+        if gap < best[0]:
+            best = (gap, B, w)  # no step changes weights in place
         if gap <= gap_tol:
-            return "converged", best_w, it
+            return "converged", best, trace
         if it >= max_iters:
-            return "max_iters", best_w, it
+            return "max_iters", best, trace
 
         if warmup:
             mult = _try_mult(work, w, B, scores) if it < _WARMUP_STEPS else None
             if mult is not None:
                 w, M, B = mult
-                step_taken(B)
+                trace.append(B)
                 continue
             warmup = False  # no descending reweighting, or the budget is spent
         if it == it_round:
-            return "stalled", best_w, it  # the last round took no step; this one would repeat it
+            return "stalled", best, trace  # the last round took no step; this one would repeat it
         it_round = it
 
         try:
             w, M, Li, B, y = _reduce_support(work, w, M, Li, B, y)
         except np.linalg.LinAlgError:
-            return "numerical", best_w, it
+            return "numerical", best, trace
         # the max-score node is in the support or heads its own cell
         entrants = _cell_entrants(work.nodes, w, scores, B * (1.0 + 0.25 * gap_tol))
         keep = w != 0.0  # a mask, not np.union1d, which imports numpy.ma (~19 ms)
         keep[entrants] = True
         idx = np.flatnonzero(keep)
-        w, M, _ = _newton_solve(work, w, M, Li, B, y, idx, gap_tol, step_taken)
-
-
-def _finalize(work: _Work, w: np.ndarray, status: str, gap_tol: float):
-    """Apply the weight floor where it keeps the certificate; recompute B and gap.
-
-    The floor applies to node weights, so to an orbit of a folded solve
-    through its share on each node, and the n + 1 count is of nodes, not
-    orbits.  The floored weights are kept when they leave at least n + 1
-    support nodes and a gap within `gap_tol`; otherwise the lower-gap of the
-    floored and unfloored weights is returned.  A gap above `gap_tol` is never reported
-    as converged.  Returns (w, B, gap, status).
-    """
-
-    def certify(v):
-        v = v / v.sum()
-        _, B, _, scores = work.scores_state(work.moment_matrix(v))
-        return v, B, float(scores.max() / B - 1.0)
-
-    floored = np.where(w < _WEIGHT_FLOOR * work.mult, 0.0, w)  # the floor applies per node
-    if work.mult @ (floored > 0.0) < work.n + 1:
-        out = certify(w)
-    else:
-        out = certify(floored)
-        if out[2] > gap_tol:
-            out = min(out, certify(w), key=lambda c: c[2])
-    if status == "converged" and out[2] > gap_tol:
-        status = "stalled"
-    return (*out, status)
+        w, M, _ = _newton_solve(work, w, M, Li, B, y, idx, gap_tol, trace)
 
 
 def certificate_gap(mu: DiscreteMeasure, z0: complex, n: int, grid: np.ndarray) -> float:
@@ -729,7 +683,7 @@ def convergence_study(
         try:
             _checked(grid, z0, nn)
             work = _Work(grid, z0, nn) if shared is None else shared.leading(nn)
-            sol = _solve(work, grid, z0, gap_tol, max_iters, False)
+            sol = _solve(work, grid, z0, gap_tol, max_iters)
         except OpmlabError as exc:
             dt = time.perf_counter() - t0
             nan = float("nan")

@@ -184,6 +184,8 @@ def verify_circle_optimality(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if densities is not None and len(densities) == 0:
+        raise ValueError("densities must be nonempty when given")
     w0 = complex(w0)
     pois = poisson_density(w0, m)
     lam_pois = szego_function(pois, w0).lambda_inf

@@ -153,10 +153,9 @@ def check_tilde_monotonicity_circle(seed: int, trials: int = 50) -> CheckResult:
 def check_tilde_monotonicity_interval(seed: int, trials: int = 50) -> CheckResult:
     """Recorded only: the segment is expected to violate the circle monotonicity.
 
-    Computed directly from one factorization and feature column per trial,
-    since tilde_monotonicity_defect refuses arcs by contract.  The first
-    trial uses Chebyshev-like nodes with uniform weights, a deterministic
-    witness of a positive defect.
+    Computed through `bergman._tilde_defect`, since tilde_monotonicity_defect
+    refuses arcs by contract.  The first trial uses Chebyshev-like nodes with
+    uniform weights, a deterministic witness of a positive defect.
     """
     geom = geo.interval()
     defects = []
@@ -173,9 +172,7 @@ def check_tilde_monotonicity_interval(seed: int, trials: int = 50) -> CheckResul
             mu = msr.DiscreteMeasure(nodes, w / w.sum())
             N = int(rng.integers(2, 13))
             z = rng.uniform(1.5, 3.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        b_hi, b_lo = bergman._nested_values(bergman.factorize(mu, N), z, N - 1)
-        phi_abs = abs(geo.exterior_map(geom, z))
-        defects.append(float((b_lo / b_hi) * phi_abs**2 - 1.0))
+        defects.append(bergman._tilde_defect(geom, mu, N, 1, z))
     worst = float(np.max(defects))
     return CheckResult(
         name="tilde_monotonicity_interval",

@@ -132,6 +132,15 @@ class TestOpmCommand:
         assert code == 2
         assert "ellipse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axes", [{"a": [2], "b": 1}, {"a": 2, "b": "one"}], ids=["list", "string"])
+    def test_non_numeric_ellipse_axis_in_config_exits_2(self, tmp_path, capsys, axes):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"geometry": {"kind": "ellipse", **axes}}))
+        code = run("opm", "--config", str(p), "--out", str(tmp_path / "x"))
+        assert code == 2
+        field = "a" if isinstance(axes["a"], list) else "b"
+        assert f"geometry.{field}" in capsys.readouterr().err
+
     def test_boundary_point_exits_2(self, tmp_path, capsys):
         code = run("opm", "--geometry", "circle", "--z0", "1,0", "--out", str(tmp_path / "x"))
         assert code == 2

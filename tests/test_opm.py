@@ -36,18 +36,17 @@ def test_solution_is_a_probability_measure_on_the_grid():
 
 def test_objective_trace_is_nonincreasing():
     grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660)
-    sol = opm.solve_opm(grid, 3.0, 4, trace=True)
+    sol = opm.solve_opm(grid, 3.0, 4)
     tr = sol.objective_trace
-    assert tr is not None and tr.size >= 2
+    assert tr.size >= 2  # recorded without being asked for
+    assert tr[-1] == pytest.approx(sol.objective, rel=1e-12)
     assert_descends(tr)
-    # no trace requested -> none stored
-    assert opm.solve_opm(grid, 3.0, 2).objective_trace is None
 
 
 def test_iterations_count_the_traced_steps():
     """The trace holds the start plus one B per accepted step, on a Newton-heavy solve."""
     grid = msr.discretize_boundary(geo.interval(), 2000)
-    sol = opm.solve_opm(grid, 2.0, 30, trace=True)
+    sol = opm.solve_opm(grid, 2.0, 30)
     tr = sol.objective_trace
     assert sol.converged
     assert tr.size == sol.iterations + 1
@@ -61,7 +60,7 @@ SEGMENT_GRID_OFF[5] = np.nextafter(SEGMENT_GRID[5].real, np.inf)
 
 def test_segment_endgame_needs_no_crawl():
     """Segment n=30 at gap_tol 1e-8 converges on its n + 1 Chebyshev atoms without the one-node crawl."""
-    sol = opm.solve_opm(SEGMENT_GRID, 2.0, 30, gap_tol=1e-8, trace=True)
+    sol = opm.solve_opm(SEGMENT_GRID, 2.0, 30, gap_tol=1e-8)
     tr = sol.objective_trace
     assert sol.converged
     assert sol.iterations <= 300
@@ -382,6 +381,9 @@ ELLIPSE21 = geo.ellipse(2.0, 1.0)
         # the row convergence_study(laurent, 2, [24], 2000, gap_tol=1e-10), which
         # equals its own solve (test_convergence_study_rows_equal_single_solves)
         (geo.laurent_curve(1, 0, (0, 0.15)), 2, 24, 2000, 1e-10),
+        # close to K the full Newton model step can ascend; these need its halving
+        (geo.interval(), 1.01, 16, 2000, 1e-8),
+        (geo.ellipse(5.0, 1.0), 1.1j, 3, 1000, 1e-8),
     ],
     ids=[
         "segment-0.5i-n30",
@@ -396,12 +398,14 @@ ELLIPSE21 = geo.ellipse(2.0, 1.0)
         "ellipse21-1.2i-n26-1e-10",
         "ellipse21-3-n26-1e-10",
         "laurent-2-n24-1e-10",
+        "segment-1.01-n16",
+        "ellipse51-1.1i-n3",
     ],
 )
 def test_tight_tolerance_solves_converge(geom, z0, n, m, gap_tol):
-    """Sparse complex, wide ellipse, full-support circle and reduction-drift optima
-    certify at tight tolerances, with descent."""
-    sol = opm.solve_opm(msr.discretize_boundary(geom, m), z0, n, gap_tol=gap_tol, trace=True)
+    """Sparse complex, wide ellipse, full-support circle, reduction-drift and
+    near-boundary optima certify at tight tolerances, with descent."""
+    sol = opm.solve_opm(msr.discretize_boundary(geom, m), z0, n, gap_tol=gap_tol)
     assert sol.status == "converged"
     assert sol.certificate_gap <= gap_tol
     assert_descends(sol.objective_trace)
@@ -411,7 +415,7 @@ def test_tight_tolerance_solves_converge(geom, z0, n, m, gap_tol):
 def test_degree_twelve_ellipse_rows_converge(z0):
     """Degree-12 ellipse sweep rows whose gap sits near 1e-7 still certify, with descent."""
     grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660)
-    sol = opm.solve_opm(grid, z0, 12, gap_tol=1e-7, trace=True)
+    sol = opm.solve_opm(grid, z0, 12, gap_tol=1e-7)
     assert sol.status == "converged"
     assert sol.certificate_gap <= 1e-7
     tr = sol.objective_trace
@@ -442,11 +446,25 @@ def test_budget_exhaustion_reports_max_iters():
     assert sol.certificate_gap > 1e-6
 
 
-def test_converged_status_implies_gap_within_tolerance(monkeypatch):
-    """A weight floor that lifts the gap must not leave a "converged" label behind."""
-    monkeypatch.setattr(opm, "_WEIGHT_FLOOR", 3e-3)
-    sol = opm.solve_opm(CIRCLE_GRID, 2.0, 3)
-    assert sol.status != "converged" or sol.certificate_gap <= 1e-6
+@pytest.mark.parametrize("max_iters", [20000, 3], ids=["converged", "max_iters"])
+def test_reported_certificate_matches_recertification(max_iters):
+    """The reported objective and gap are those of the returned measure, recertified alone."""
+    grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660)
+    sol = opm.solve_opm(grid, 3.0, 4, max_iters=max_iters)
+    assert sol.status == ("converged" if max_iters > 3 else "max_iters")
+    B = bergman.bergman_function(sol.measure, 4, 3.0).bergman
+    assert sol.objective == pytest.approx(B, rel=1e-12)
+    gap = opm.certificate_gap(sol.measure, 3.0, 4, grid)
+    assert sol.certificate_gap == pytest.approx(gap, rel=1e-9, abs=1e-14)
+    assert (sol.certificate_gap <= 1e-6) == sol.converged
+
+
+def test_gap_tol_below_rounding_floor_ends_stalled():
+    """A gap_tol below B's rounding ends `stalled`, reporting the gap it certified."""
+    grid = msr.discretize_boundary(geo.unit_circle(), 1000)
+    sol = opm.solve_opm(grid, 1.1j, 8, gap_tol=1e-16)
+    assert sol.status == "stalled"
+    assert 1e-16 < sol.certificate_gap < 1e-14
 
 
 def test_validation_errors():

@@ -140,6 +140,13 @@ def test_circle_optimality_flags_equality_imposter():
     assert all(v["kind"] != "exceeds_poisson" for v in rep2.to_json_obj()["violations"])
 
 
+def test_circle_optimality_rejects_bad_trial_sets():
+    with pytest.raises(ValueError, match="trials"):
+        szego.verify_circle_optimality(0.5, trials=0, seed=0)
+    with pytest.raises(ValueError, match="densities"):
+        szego.verify_circle_optimality(0.5, trials=3, seed=0, densities=[])
+
+
 def test_transport_identity_circle_closed_form():
     g = geo.unit_circle()
     m = 2048
