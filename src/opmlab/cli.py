@@ -125,14 +125,11 @@ def geometry_from_obj(obj) -> geo.CurveGeometry:
         for key in ("a", "b"):
             if key not in obj:
                 raise ConfigError(f"geometry.{key}: required for an ellipse")
-            try:
-                axes.append(float(obj[key]))
-            except (TypeError, ValueError):
-                raise ConfigError(f"geometry.{key}: expected a number, got {obj[key]!r}") from None
+            axes.append(_float_from_obj(obj[key], f"geometry.{key}"))
         return geo.ellipse(*axes)
     if kind == "laurent":
         try:
-            capacity = float(obj["capacity"])
+            capacity = _float_from_obj(obj.get("capacity"), "geometry.capacity")
             center = _complex_from_obj(obj.get("center", 0.0), "geometry.center")
             tail = tuple(
                 _complex_from_obj(c, "geometry.tail") for c in obj.get("tail", [])
@@ -161,13 +158,23 @@ def parse_geometry_flag(text: str) -> dict:
 
 
 def _complex_from_obj(obj, label: str) -> complex:
-    if isinstance(obj, (int, float)):
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return complex(obj)
     if isinstance(obj, str):
         return parse_complex(obj, label)
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
+        return complex(_float_from_obj(obj[0], label), _float_from_obj(obj[1], label))
     raise ConfigError(f"{label}: expected number, 're,im' string, or [re, im] pair")
+
+
+def _float_from_obj(obj, label: str) -> float:
+    """A real field; booleans are refused, not read as 0 or 1."""
+    if not isinstance(obj, bool):
+        try:
+            return float(obj)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{label}: expected a number, got {obj!r}")
 
 
 def _int_from_obj(obj, label: str) -> int:

@@ -248,15 +248,6 @@ class FaberTable:
     def coefficients(self, n: int) -> np.ndarray:
         return self.rows[n]
 
-    def evaluate(self, n: int, z) -> np.ndarray:
-        """Horner evaluation of F_n at z (scalar or array)."""
-        z = np.asarray(z, dtype=complex)
-        c = self.rows[n]
-        out = np.full_like(z, c[-1])
-        for a in c[-2::-1]:
-            out = out * z + a
-        return out
-
 
 def faber_polynomials(geom: CurveGeometry, n_max: int) -> FaberTable:
     """Faber polynomials of the geometry, normalized so F_n(z)/Phi(z)^n -> 1.
@@ -291,17 +282,26 @@ def faber_polynomials(geom: CurveGeometry, n_max: int) -> FaberTable:
 
 
 def faber_asymptotic_deviation(geom: CurveGeometry, n: int, R: float, m: int = 256) -> float:
-    """max over m samples of Gamma_R of |F_n(z)/Phi(z)^n - 1|.
+    """max over m samples of Gamma_R (R >= 1) of |F_n(z)/Phi(z)^n - 1|.
 
-    Samples are taken as z = Psi(R e^{i theta}) so Phi(z) = R e^{i theta} is
-    known exactly and no numerical inversion enters the estimate.
+    At z = Psi(w), w = R e^{i theta}, Phi(z) = w is exact.  The recurrence
+    of `faber_polynomials` runs on G_k = F_k(z)/w^k, with (z - b0)/w formed
+    as b + sum_j b_j w^-(j+1), so the result is accurate to rounding at any n.
     """
     if not geom.is_curve:
         raise CurveRequired("Faber deviation on a level curve needs a closed curve")
-    if R <= 1.0:
-        raise DomainViolation(f"need R > 1, got R={R}")
-    table = faber_polynomials(geom, n)
-    w = R * np.exp(2j * np.pi * np.arange(m) / m)
-    z = psi(geom, w)
-    ratio = table.evaluate(n, z) / w**n
-    return float(np.max(np.abs(ratio - 1.0)))
+    if R < 1.0:
+        raise DomainViolation(f"need R >= 1, got R={R}")
+    b, tail = geom.lead, geom.tail
+    winv = 1.0 / (R * np.exp(2j * np.pi * np.arange(m) / m))
+    wpow = [winv ** (j + 1) for j in range(len(tail) + 1)]  # w^-(j+1)
+    shift = b + sum(c * p for c, p in zip(tail, wpow[1:]))  # (z - b0) / w
+    G = [np.ones(m, dtype=complex)]
+    for k in range(1, n + 1):
+        acc = shift * G[k - 1]
+        for j, bj in enumerate(tail[: k - 1], start=1):
+            acc -= bj * wpow[j] * G[k - 1 - j]
+        if 1 <= k - 1 <= len(tail):
+            acc -= (k - 1) * tail[k - 2] * wpow[k - 1]
+        G.append(acc / b)
+    return float(np.max(np.abs(G[n] - 1.0)))

@@ -62,8 +62,10 @@ reads it off the grid and z0, once.
 Each step is accepted only on certified descent, so the objective is
 nonincreasing across iterations up to rounding: a reduction is not a step,
 and in floating point it moves B (measured up to 1.4e-12 relative).  Each
-iterate is certified once, in `_iterate`, and the solution reports the
-weights, B and gap of the lowest-gap one as they were certified there.
+step returns the state (Li, B, y) that `_Work.core_state` computed for the
+weights it accepted, so no matrix is factored twice; `_iterate` certifies
+each iterate once, from that state, and the solution reports the weights,
+B and gap of the lowest-gap one as they were certified there.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from .measure import DiscreteMeasure
 _WARMUP_STEPS = 10
 _NEWTON_STEPS = 40
 _ZERO_WEIGHT = 1e-15  # a weight at or below this, on unit mass, counts as zero
+_K_MOMENTS = 8  # moments 1..8 enter a convergence row's moment discrepancy
 
 
 @dataclass(frozen=True)
@@ -234,12 +237,6 @@ class _Work:
         y = Li.conj().T @ zc
         return Li, B, y
 
-    def scores_state(self, M: np.ndarray):
-        """Core state plus the node scores |K_n(x_i, z0)|^2."""
-        Li, B, y = self.core_state(M)
-        scores = np.abs(self.kernel(y)) ** 2
-        return Li, B, y, scores
-
 
 def _try_mult(work: _Work, w: np.ndarray, B: float, scores: np.ndarray):
     """Multiplicative reweighting w -> w * score / B, accepted only on descent.
@@ -247,20 +244,19 @@ def _try_mult(work: _Work, w: np.ndarray, B: float, scores: np.ndarray):
     The update is self-normalizing in exact arithmetic (the weighted mean of
     the scores is B) and its direction has slope -Var_w(score)/B, so it
     descends whenever the scores are not constant on the support.  Returns
-    (w, M, B) of the reweighted iterate or None.
+    (w, (Li, B, y)) of the reweighted iterate or None.
     """
     w2 = w * scores / B
     total = w2.sum()
     if not np.isfinite(total) or total <= 0.0:
         return None
     w2 /= total
-    M2 = work.moment_matrix(w2)
     try:
-        _, B2, _ = work.core_state(M2)
+        state = work.core_state(work.moment_matrix(w2))
     except np.linalg.LinAlgError:
         return None
-    if B2 < B:
-        return w2, M2, B2
+    if state[1] < B:
+        return w2, state
     return None
 
 
@@ -298,7 +294,7 @@ def _caratheodory(C: np.ndarray, W: np.ndarray, rank: int):
     return W
 
 
-def _reduce_support(work: _Work, w: np.ndarray, M, Li, B: float, y):
+def _reduce_support(work: _Work, w: np.ndarray, Li, B: float, y):
     """Caratheodory reduction of a support larger than twice the rows of C.
 
     Moves weight along the null space of C = [D; 1^T], with D = `_Work.frame`
@@ -313,7 +309,7 @@ def _reduce_support(work: _Work, w: np.ndarray, M, Li, B: float, y):
     one small SVD removes about half of them.  The atoms left define the
     cells from which `_iterate` draws the entrants of the round.
 
-    Returns (w, M, Li, B, y) at the reduced weights, B recomputed: rounding
+    Returns (w, Li, B, y) at the reduced weights, B recomputed: rounding
     moves it (measured up to 1.4e-12 relative).  A support of at most twice
     the rows of C is returned as it is.
     """
@@ -321,7 +317,7 @@ def _reduce_support(work: _Work, w: np.ndarray, M, Li, B: float, y):
     C = np.vstack((work.frame(Li, pos, work.kernel(y, pos) / np.sqrt(B)), np.ones(pos.size)))
     groups = 2 * C.shape[0]
     if pos.size <= groups:
-        return w, M, Li, B, y
+        return w, Li, B, y
     sv = np.linalg.svd(C, compute_uv=False)
     rank = int(np.count_nonzero(sv > 1e-12 * sv[0]))
     wp = w[pos]
@@ -342,8 +338,7 @@ def _reduce_support(work: _Work, w: np.ndarray, M, Li, B: float, y):
     wp[wp < _ZERO_WEIGHT * wp.sum()] = 0.0
     w_red = np.zeros_like(w)
     w_red[pos] = wp / wp.sum()
-    M_red = work.moment_matrix(w_red)
-    return w_red, M_red, *work.core_state(M_red)
+    return w_red, *work.core_state(work.moment_matrix(w_red))
 
 
 def _cell_entrants(nodes: np.ndarray, w: np.ndarray, scores: np.ndarray, threshold: float):
@@ -415,7 +410,7 @@ def _model_step(kkt: np.ndarray, rhs: np.ndarray, w0: np.ndarray):
         moved = True
 
 
-def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, trace: list[float]):
+def _newton_solve(work: _Work, w, Li, B, y, idx, gap_tol: float, trace: list[float]):
     """Equality-constrained Newton on the weights of the node subset `idx`.
 
     With Li = L^{-1} the inverse Cholesky factor of M, G = Li U_idx^T diag(k)
@@ -448,8 +443,11 @@ def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, trace: list[
     when it is far below B's rounding.  A step is taken only when it is
     negative, and its B is appended to `trace`; the round ends when no
     trial descends.  The weights keep unit mass.
-    Returns (w, M, steps) with M consistent with w.
+    Returns (w, (Li, B, y), steps), the state as `_Work.core_state` computed
+    it at the last accepted trial (or as passed in); `trace` and the next dB
+    use B + dB.
     """
+    state = (Li, B, y)
     steps = 0
     while steps < _NEWTON_STEPS:
         s = idx.size
@@ -476,21 +474,21 @@ def _newton_solve(work: _Work, w, M, Li, B, y, idx, gap_tol: float, trace: list[
             w_try = w.copy()
             w_try[idx] = v
             w_try /= w_try.sum()
-            M_try = work.moment_matrix(w_try)
             try:
-                Li_try, _, y_try = work.core_state(M_try)
+                trial = work.core_state(work.moment_matrix(w_try))
             except np.linalg.LinAlgError:
                 continue
-            dB = float((v - w[idx]) @ (B - np.real(np.conj(k) * work.kernel(y_try, idx))))
+            dB = float((v - w[idx]) @ (B - np.real(np.conj(k) * work.kernel(trial[2], idx))))
             if dB < 0.0:
                 break
         else:
             break  # no trial descends
-        w, M, Li, B, y = w_try, M_try, Li_try, B + dB, y_try
+        w, state, B = w_try, trial, B + dB
+        Li, _, y = state
         steps += 1
         trace.append(B)
         idx = idx[w[idx] > 0.0]
-    return w, M, steps
+    return w, state, steps
 
 
 def solve_opm(
@@ -562,9 +560,10 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int):
     `_newton_solve` stops.  A round that takes no step ends the solve as
     stalled, because the next round would repeat it.
 
-    Every iterate is certified here, once: its B and gap come from one
-    factorization of its moment matrix.  The start is the uniform weights,
-    where M = I, so that certification always succeeds.
+    Every iterate is certified here, once, from the state (Li, B, y) that
+    its step computed: the scores are |u_i^H y|^2.  The only factorization
+    here is the start's, the uniform weights, where M = I, so that it
+    always succeeds.
 
     An iteration is one accepted step of either type.  A reduction is not a
     step: it moves weight only along directions that leave y = M^{-1} c,
@@ -577,18 +576,13 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int):
 
     Returns (status, (gap, B, w) of the lowest-gap certified iterate, trace).
     """
-    trace: list[float] = []
+    Li, B, y = work.core_state(work.moment_matrix(w))
+    trace = [B]  # the starting point
     best = (np.inf, np.nan, w)
     warmup = True
     it_round = -1
-    M = work.moment_matrix(w)
     while True:
-        try:
-            Li, B, y, scores = work.scores_state(M)
-        except np.linalg.LinAlgError:
-            return "numerical", best, trace
-        if not trace:
-            trace.append(B)  # the starting point
+        scores = np.abs(work.kernel(y)) ** 2
         it = len(trace) - 1
         gap = float(scores.max() / B - 1.0)
         if gap < best[0]:
@@ -601,7 +595,7 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int):
         if warmup:
             mult = _try_mult(work, w, B, scores) if it < _WARMUP_STEPS else None
             if mult is not None:
-                w, M, B = mult
+                w, (Li, B, y) = mult
                 trace.append(B)
                 continue
             warmup = False  # no descending reweighting, or the budget is spent
@@ -610,7 +604,7 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int):
         it_round = it
 
         try:
-            w, M, Li, B, y = _reduce_support(work, w, M, Li, B, y)
+            w, Li, B, y = _reduce_support(work, w, Li, B, y)
         except np.linalg.LinAlgError:
             return "numerical", best, trace
         # the max-score node is in the support or heads its own cell
@@ -618,7 +612,7 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int):
         keep = w != 0.0  # a mask, not np.union1d, which imports numpy.ma (~19 ms)
         keep[entrants] = True
         idx = np.flatnonzero(keep)
-        w, M, _ = _newton_solve(work, w, M, Li, B, y, idx, gap_tol, trace)
+        w, (Li, B, y), _ = _newton_solve(work, w, Li, B, y, idx, gap_tol, trace)
 
 
 def certificate_gap(mu: DiscreteMeasure, z0: complex, n: int, grid: np.ndarray) -> float:
@@ -656,7 +650,6 @@ def convergence_study(
     *,
     gap_tol: float = 1e-6,
     max_iters: int = 20000,
-    k_moments: int = 8,
 ) -> list[ConvergenceRow]:
     """Solve each degree on the canonical m-point grid and tabulate diagnostics.
 
@@ -691,7 +684,7 @@ def convergence_study(
         dt = time.perf_counter() - t0
         tilde = sol.objective / phi_abs ** (2 * nn)
         disc = (
-            msr.moment_discrepancy(sol.measure, target, k_moments)
+            msr.moment_discrepancy(sol.measure, target, _K_MOMENTS)
             if target is not None
             else None
         )

@@ -141,6 +141,30 @@ class TestOpmCommand:
         field = "a" if isinstance(axes["a"], list) else "b"
         assert f"geometry.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg, field",
+        [
+            ({"z0": [True, True]}, "z0"),
+            ({"geometry": {"kind": "laurent", "capacity": 0.5}, "z0": True}, "z0"),
+            ({"geometry": {"kind": "ellipse", "a": True, "b": 0.5}}, "geometry.a"),
+            ({"geometry": {"kind": "laurent", "capacity": True}}, "geometry.capacity"),
+            ({"geometry": {"kind": "laurent", "capacity": 1.0, "center": [0.0, False]}}, "geometry.center"),
+            ({"geometry": {"kind": "laurent", "capacity": 1.0, "tail": [[True, 0.0]]}}, "geometry.tail"),
+            ({"geometry": {"kind": "laurent", "tail": [0.1]}}, "geometry.capacity"),
+        ],
+        ids=["z0-pair", "z0", "ellipse-a", "laurent-capacity", "laurent-center", "laurent-tail",
+             "laurent-no-capacity"],
+    )
+    def test_boolean_or_missing_number_in_config_exits_2(self, tmp_path, capsys, cfg, field):
+        """JSON true/false is not read as 1/0 where a number is expected, and a
+        missing Laurent capacity is a config error, not a traceback."""
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code = run("opm", "--config", str(p), "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_boundary_point_exits_2(self, tmp_path, capsys):
         code = run("opm", "--geometry", "circle", "--z0", "1,0", "--out", str(tmp_path / "x"))
         assert code == 2

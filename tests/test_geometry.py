@@ -153,12 +153,9 @@ class TestFaber:
     def test_interval_faber_double_chebyshev(self):
         # F_n = 2 T_n on [-1, 1] for n >= 1
         table = geo.faber_polynomials(geo.interval(), 5)
-        xs = np.linspace(-0.95, 0.95, 9)
         for n in range(1, 6):
-            tn = np.cos(n * np.arccos(xs))
-            fn = table.evaluate(n, xs)
-            assert np.allclose(fn.real, 2.0 * tn, atol=1e-12)
-            assert np.allclose(fn.imag, 0.0, atol=1e-12)
+            two_tn = 2.0 * np.polynomial.chebyshev.cheb2poly([0.0] * n + [1.0])
+            assert np.allclose(table.coefficients(n), two_tn, rtol=0.0, atol=1e-12)
 
     def test_leading_coefficient_is_inverse_capacity_power(self):
         g = geo.ellipse(2.0, 1.0)
@@ -178,6 +175,20 @@ class TestFaber:
     def test_normalized_faber_near_phi_power(self, g, R):
         dev = geo.faber_asymptotic_deviation(g, 20, R)
         assert dev < 1e-8
+
+    @pytest.mark.parametrize("a,b", [(2.0, 1.0), (5.0, 1.0), (3.0, 2.0)])
+    @pytest.mark.parametrize("R", [1.0, 1.5])
+    def test_ellipse_deviation_matches_closed_form_to_high_degree(self, a, b, R):
+        """F_n(Psi(w)) = w^n + rho^n w^-n with rho = (a - b)/(a + b), so the
+        deviation is rho^n R^-2n, on Gamma itself (R = 1) too."""
+        g = geo.ellipse(a, b)
+        for n in range(1, 257, 5):  # 1, 6, ..., 256
+            dev = geo.faber_asymptotic_deviation(g, n, R)
+            assert abs(dev - ((a - b) / (a + b)) ** n * R ** (-2 * n)) <= 1e-13, n
+
+    def test_circle_deviation_is_exactly_zero(self):
+        for R in (1.0, 1.3):
+            assert geo.faber_asymptotic_deviation(geo.unit_circle(), 200, R) == 0.0
 
     def test_deviation_needs_curve_and_exterior_level(self):
         with pytest.raises(CurveRequired):

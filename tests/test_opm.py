@@ -179,6 +179,30 @@ def test_ellipse_moments_match_the_balayage_at_high_degree():
         assert r.moment_discrepancy <= 1e-10, (r.n, r.moment_discrepancy)
 
 
+@pytest.mark.parametrize(
+    "grid, z0, n, gap_tol",
+    [
+        (SEGMENT_GRID, 2.0, 30, 1e-8),
+        (SEGMENT_GRID, 1j, 30, 1e-8),
+        (msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660), 3.0, 8, 1e-7),
+    ],
+    ids=["segment-x0", "segment-ia", "ellipse-row"],
+)
+def test_no_moment_matrix_is_factored_twice(monkeypatch, grid, z0, n, gap_tol):
+    """Each step hands `_iterate` the state it factored, so within a solve
+    every call of `_Work.core_state` meets a new moment matrix."""
+    factored = []
+    core_state = opm._Work.core_state
+
+    def recording(self, M):
+        factored.append(M.tobytes())
+        return core_state(self, M)
+
+    monkeypatch.setattr(opm._Work, "core_state", recording)
+    assert opm.solve_opm(grid, z0, n, gap_tol=gap_tol).converged
+    assert len(set(factored)) == len(factored) > 1
+
+
 def test_newton_rounds_keep_unit_mass(monkeypatch):
     """Every Newton trial is judged on normalized weights, so each round ends at unit mass."""
     sums = []
@@ -308,22 +332,21 @@ def test_support_reduction_keeps_objective_and_mass(grid, z0):
     """The reduction of a mid-solve iterate leaves B (up to rounding) and the
     mass, and at most n + 2 weights when folded (real data, or the segment
     turned from i a: the Elfving bound n + 1 plus the mass row), else 2n + 3;
-    it returns the B of the reduced weights, and a support of at most twice
-    the rows of C unchanged."""
+    it returns the state (Li, B, y) factored at the reduced weights, and a
+    support of at most twice the rows of C unchanged."""
     n = 30
     work = opm._Work(grid, z0, n)
     w = work.mult / work.m
-    M = work.moment_matrix(w)
+    Li, B, y = work.core_state(work.moment_matrix(w))
     for _ in range(50):
-        _, B, _, scores = work.scores_state(M)
-        w, M, B = opm._try_mult(work, w, B, scores)
-    Li, B, y, _ = work.scores_state(M)
+        w, (Li, B, y) = opm._try_mult(work, w, B, np.abs(work.kernel(y)) ** 2)
     rows = n + 2 if work.fold else 2 * n + 3  # the rows of C = [D; 1^T]
     assert np.count_nonzero(w) > 2 * rows
-    reduced = opm._reduce_support(work, w, M, Li, B, y)
-    w_red, M_red, _, B_red, _ = reduced
-    np.testing.assert_array_equal(M_red, work.moment_matrix(w_red))
-    assert B_red == work.core_state(M_red)[1]
+    reduced = opm._reduce_support(work, w, Li, B, y)
+    w_red, *state_red = reduced
+    B_red = state_red[1]
+    for got, want in zip(state_red, work.core_state(work.moment_matrix(w_red))):
+        np.testing.assert_array_equal(got, want)
     assert abs(B_red / B - 1.0) <= 1e-12
     assert abs(w_red.sum() - 1.0) <= 1e-14
     assert np.all(w_red >= 0.0)
@@ -336,8 +359,7 @@ def test_support_reduction_keeps_objective_and_mass(grid, z0):
     w_cut[empty[:: empty.size // extra][:extra]] = 1e-3
     w_cut /= w_cut.sum()
     assert np.count_nonzero(w_cut) == 2 * rows
-    M_cut = work.moment_matrix(w_cut)
-    state = (w_cut, M_cut, *work.core_state(M_cut))
+    state = (w_cut, *work.core_state(work.moment_matrix(w_cut)))
     assert all(a is b for a, b in zip(opm._reduce_support(work, *state), state))
 
 
