@@ -187,6 +187,14 @@ def _int_from_obj(obj, label: str) -> int:
         raise ConfigError(f"{label}: expected an integer, got {obj!r}") from None
 
 
+def _str_from_obj(obj, label: str) -> str:
+    """A text field; an empty string, or a JSON number or boolean, is refused, not
+    turned into a path."""
+    if isinstance(obj, str) and obj:
+        return obj
+    raise ConfigError(f"{label}: expected a nonempty string, got {obj!r}")
+
+
 def parse_complex(text: str, label: str = "z0") -> complex:
     parts = str(text).strip().split(",")
     try:
@@ -246,12 +254,12 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
             z0=_complex_from_obj(raw["z0"], "z0"),
             degrees=parse_degrees(raw["degrees"]),
             grid_size=_int_from_obj(raw["grid_size"], "grid_size"),
-            gap_tol=float(raw["gap_tol"]),
+            gap_tol=_float_from_obj(raw["gap_tol"], "gap_tol"),
             max_iters=_int_from_obj(raw["max_iters"], "max_iters"),
             szego_grid=_int_from_obj(raw["szego_grid"], "szego_grid"),
             szego_trials=_int_from_obj(raw["szego_trials"], "szego_trials"),
             seed=_int_from_obj(raw["seed"], "seed"),
-            output_dir=str(raw["output_dir"]),
+            output_dir=_str_from_obj(raw["output_dir"], "output_dir"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: {exc}") from None
@@ -307,7 +315,10 @@ def cmd_opm(cfg: ExperimentConfig) -> int:
     n = cfg.degrees[-1]
     grid = msr.discretize_boundary(cfg.geometry, cfg.grid_size)
     t0 = time.perf_counter()
-    sol = opm.solve_opm(grid, cfg.z0, n, gap_tol=cfg.gap_tol, max_iters=cfg.max_iters)
+    start = None  # on a curve, the start of `convergence`'s rows, so both give one answer
+    if cfg.geometry.is_curve:
+        start = msr.balayage_point_mass(cfg.geometry, cfg.z0, cfg.grid_size).weights
+    sol = opm.solve_opm(grid, cfg.z0, n, gap_tol=cfg.gap_tol, max_iters=cfg.max_iters, start=start)
     dt = time.perf_counter() - t0
 
     out = cfg.output_dir

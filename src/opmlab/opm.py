@@ -10,14 +10,20 @@ nonnegative on any feasible measure and zero exactly at a grid-optimal one.
 The problem is a c-optimal design, and the solver uses two step types that
 share one certificate primitive (the node scores |K_n(x_i, z0)|^2):
 
-  * a short warmup of multiplicative reweighting w_i -> w_i * score_i / B,
-    which is self-normalizing and lands on smooth optima within a few steps;
+  * from uniform weights, a short warmup of multiplicative reweighting
+    w_i -> w_i * score_i / B, which is self-normalizing and lands on smooth
+    optima within a few steps (near the discretized balayage of the point
+    mass, their limit as n grows);
   * exchange rounds of Newton steps on the weights of the support plus
     entrants at zero weight: the max-score node of each atom's cell (the
     grid nodes nearest that atom), the overall max-score node among them.
     Every atom can so move to a better node in the same round, and the
     Newton step removes the slow endgame of reweighting when the grid
     optimum splits an atom across adjacent nodes.
+
+A given start (`solve_opm`'s `start`; on a curve, that balayage itself)
+takes no warmup: it is certified as it is, and at high degree it already
+converges with no step.
 
 Before a Newton round a large support is reduced without changing B.  With
 L the Cholesky factor of M and Li = L^{-1} its inverse (which
@@ -498,21 +504,29 @@ def solve_opm(
     *,
     gap_tol: float = 1e-6,
     max_iters: int = 20000,
+    start: np.ndarray | None = None,
 ) -> OpmSolution:
     """Minimize B_n(., z0) over probability measures on `nodes`.
 
-    Starts from uniform weights.  Returns a converged solution, or the best
-    iterate flagged via `status` when the budget or the numerical floor is
-    hit.  The reported objective, gap and weights are those of the best
-    certified iterate of `_iterate`, so `status` is "converged" exactly when
-    the reported gap is at most `gap_tol`.  A folded solve (real z0 on a
-    grid that conjugation maps onto itself, or z0 = i a on one that
-    x -> -conj(x) maps onto itself, see the module docstring) gives the two
-    nodes of each mirror pair bitwise equal weights, and `support` indexes
-    the original grid.
+    Starts from uniform weights and a short multiplicative warmup, or, when
+    `start` is given, from those weights with no warmup: `start` holds one
+    strictly positive, finite weight per node (length nodes.size, any total
+    mass), and anything else raises ValueError.  On a curve the discretized
+    balayage of the point mass at z0 (`measure.balayage_point_mass`, the
+    limit of the optima) is such a start, and at high degree it certifies
+    with no step.  A folded solve starts from each orbit's total of `start`.
+
+    Returns a converged solution, or the best iterate flagged via `status`
+    when the budget or the numerical floor is hit.  The reported objective,
+    gap and weights are those of the best certified iterate of `_iterate`,
+    so `status` is "converged" exactly when the reported gap is at most
+    `gap_tol`.  A folded solve (real z0 on a grid that conjugation maps
+    onto itself, or z0 = i a on one that x -> -conj(x) maps onto itself,
+    see the module docstring) gives the two nodes of each mirror pair
+    bitwise equal weights, and `support` indexes the original grid.
     """
     nodes = _checked(nodes, z0, n)
-    return _solve(_Work(nodes, z0, n), nodes, z0, gap_tol, max_iters)
+    return _solve(_Work(nodes, z0, n), nodes, z0, gap_tol, max_iters, start)
 
 
 def _checked(nodes: np.ndarray, z0: complex, n: int) -> np.ndarray:
@@ -526,10 +540,22 @@ def _checked(nodes: np.ndarray, z0: complex, n: int) -> np.ndarray:
 
 
 def _solve(
-    work: _Work, nodes: np.ndarray, z0: complex, gap_tol: float, max_iters: int
+    work: _Work, nodes: np.ndarray, z0: complex, gap_tol: float, max_iters: int, start=None
 ) -> OpmSolution:
     """`solve_opm` on a built work of degree work.n for the grid `nodes` and z0."""
-    status, (gap, B, w), trace = _iterate(work, work.mult / work.m, gap_tol, max_iters)
+    if start is None:
+        w = work.mult / work.m
+    else:
+        start = np.asarray(start)
+        if (
+            start.dtype.kind not in "uif"
+            or start.shape != (work.m,)
+            or not np.all(np.isfinite(start) & (start > 0.0))
+        ):
+            raise ValueError(f"start: need {work.m} positive finite real weights, one per node")
+        w = start[work.rep] + (work.mult - 1.0) * start[work.mirror]  # each orbit's mass
+        w /= w.sum()
+    status, (gap, B, w), trace = _iterate(work, w, gap_tol, max_iters, start is None)
     w = work.unfold(w)
     support = np.flatnonzero(w > 0.0)
     mu = DiscreteMeasure(nodes[support], w[support] / w[support].sum())
@@ -546,13 +572,16 @@ def _solve(
     )
 
 
-def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int):
+def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int, warmup: bool):
     """Run certified-descent steps until converged, stalled, or out of budget.
 
-    One loop with two phases.  A warmup of multiplicative reweighting steps
-    solves the cases whose optimum keeps broad support outright (one step
-    from uniform lands on the discretized balayage); it ends at the first
-    rejected step or after `_WARMUP_STEPS` steps.  Exchange rounds follow:
+    One loop with two phases.  With `warmup` (the uniform start), a warmup
+    of multiplicative reweighting steps solves the cases whose optimum
+    keeps broad support outright (one step from uniform lands on the
+    discretized balayage); it ends at the first rejected step or after
+    `_WARMUP_STEPS` steps.  A given start skips it: from the balayage,
+    reweighting only spends steps that the exchange rounds would spend
+    better.  Exchange rounds follow:
     a B-neutral reduction of a large support to at most 2n + 3 nodes, n + 2
     orbits when folded (`_reduce_support`), then a Newton solve on those
     atoms plus one zero-weight entrant per atom cell (`_cell_entrants`),
@@ -562,8 +591,10 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int):
 
     Every iterate is certified here, once, from the state (Li, B, y) that
     its step computed: the scores are |u_i^H y|^2.  The only factorization
-    here is the start's, the uniform weights, where M = I, so that it
-    always succeeds.
+    here is the start's.  Positive weights on a grid that determines the
+    basis keep M positive definite (M = I at the uniform weights), but
+    should its Cholesky factorization fail in floating point, the solve
+    ends "numerical" with no certified iterate: B is NaN and the gap inf.
 
     An iteration is one accepted step of either type.  A reduction is not a
     step: it moves weight only along directions that leave y = M^{-1} c,
@@ -576,10 +607,12 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int):
 
     Returns (status, (gap, B, w) of the lowest-gap certified iterate, trace).
     """
-    Li, B, y = work.core_state(work.moment_matrix(w))
-    trace = [B]  # the starting point
     best = (np.inf, np.nan, w)
-    warmup = True
+    try:
+        Li, B, y = work.core_state(work.moment_matrix(w))
+    except np.linalg.LinAlgError:
+        return "numerical", best, [np.nan]
+    trace = [B]  # the starting point
     it_round = -1
     while True:
         scores = np.abs(work.kernel(y)) ** 2
@@ -654,17 +687,23 @@ def convergence_study(
     """Solve each degree on the canonical m-point grid and tabulate diagnostics.
 
     Rows that fail numerically are recorded with a status and NaN payload
-    rather than aborting the study.  Moment discrepancies compare against the
-    discretized balayage of the point mass and exist for curves only.
+    rather than aborting the study.  On a curve every row starts from the
+    discretized balayage of the point mass, the limit of the optima, with
+    no warmup (`solve_opm`'s `start`); a row whose start already certifies
+    takes 0 iterations, and its moment discrepancy against that balayage,
+    which exists for curves only, is then at rounding level.  The segment
+    starts from uniform weights.
 
     The grid is factored once, at the largest degree it admits; every row
     solves on the leading blocks of that factor (`_Work.leading`), so each
-    row equals its own `solve_opm` bitwise.  The first row's `seconds`
-    include that build.  Should the build fail, each row factors on its own.
+    row equals its own `solve_opm` (with the same start) bitwise.  The first
+    row's `seconds` include that build.  Should the build fail, each row
+    factors on its own.
     """
     grid = np.asarray(msr.discretize_boundary(geom, m), dtype=complex)
     phi_abs = abs(geo.exterior_map(geom, z0))
     target = msr.balayage_point_mass(geom, z0, m) if geom.is_curve else None
+    start = None if target is None else target.weights
     t0 = time.perf_counter()
     top = max((nn for nn in degrees if nn < grid.size), default=None)
     try:
@@ -676,7 +715,7 @@ def convergence_study(
         try:
             _checked(grid, z0, nn)
             work = _Work(grid, z0, nn) if shared is None else shared.leading(nn)
-            sol = _solve(work, grid, z0, gap_tol, max_iters)
+            sol = _solve(work, grid, z0, gap_tol, max_iters, start)
         except OpmlabError as exc:
             dt = time.perf_counter() - t0
             nan = float("nan")

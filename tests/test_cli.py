@@ -165,6 +165,25 @@ class TestOpmCommand:
         assert f"{field}:" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"output_dir": True}, "output_dir: expected a nonempty string, got True"),
+            ({"output_dir": 7}, "output_dir: expected a nonempty string, got 7"),
+            ({"output_dir": ""}, "output_dir: expected a nonempty string, got ''"),
+            ({"gap_tol": True}, "gap_tol: expected a number, got True"),
+        ],
+        ids=["output_dir-bool", "output_dir-number", "output_dir-empty", "gap_tol-bool"],
+    )
+    def test_config_field_of_the_wrong_json_type_exits_2(self, tmp_path, monkeypatch, capsys, cfg, message):
+        """No run is written to a directory named after a non-string or to an
+        empty path, and a boolean gap_tol is refused as such, not read as 1.0."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run("opm", "--config", "cfg.json") == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_boundary_point_exits_2(self, tmp_path, capsys):
         code = run("opm", "--geometry", "circle", "--z0", "1,0", "--out", str(tmp_path / "x"))
         assert code == 2
@@ -212,6 +231,21 @@ class TestConvergenceCommand:
         # per-run wall times land in the log, keeping the table reproducible
         assert (out_a / "plotdata.json").read_bytes() == (out_b / "plotdata.json").read_bytes()
         assert "seconds" not in json.loads((out_a / "plotdata.json").read_text())["series"]
+
+    def test_rows_equal_the_opm_command_on_a_curve(self, tmp_path):
+        """`opm` starts a curve solve where `convergence` starts its rows, so the
+        two report the same objective, gap and iterations."""
+        args = ["--geometry", "ellipse:2,1", "--z0", "3,0", "--grid", "330"]
+        assert run("convergence", *args, "--degrees", "4..12:4", "--out", str(tmp_path / "c")) == 0
+        rows = read_csv(tmp_path / "c" / "convergence.csv")
+        cols = {name: i for i, name in enumerate(rows[0])}
+        for r in rows[1:]:
+            out = tmp_path / f"opm{r[0]}"
+            assert run("opm", *args, "--degrees", r[0], "--out", str(out)) == 0
+            cert = json.loads((out / "certificate.json").read_text())
+            assert cert["objective"] == float(r[cols["objective"]])
+            assert cert["certificate_gap"] == float(r[cols["gap"]])
+            assert cert["iterations"] == int(r[cols["iterations"]])
 
     def test_growth_ratio_column_squares_to_tilde(self, tmp_path):
         out = tmp_path / "c"

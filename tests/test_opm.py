@@ -172,11 +172,17 @@ def test_segment_endgame_shapes_take_their_fast_paths():
 
 
 def test_ellipse_moments_match_the_balayage_at_high_degree():
-    """ellipse(2,1), z0=3: the optimum's moments equal the discretized balayage's through degree 100."""
-    rows = opm.convergence_study(geo.ellipse(2.0, 1.0), 3.0, [22, 40, 70, 100], 2020, gap_tol=1e-8)
-    for r in rows:
-        assert r.status == "converged", (r.n, r.status)
-        assert r.moment_discrepancy <= 1e-10, (r.n, r.moment_discrepancy)
+    """ellipse(2,1), z0=3: the optimum's moments equal the discretized balayage's
+    through degree 100, reached from uniform weights (a study would start at the
+    balayage itself)."""
+    g = geo.ellipse(2.0, 1.0)
+    grid = msr.discretize_boundary(g, 2020)
+    target = msr.balayage_point_mass(g, 3.0, 2020)
+    for n in (22, 40, 70, 100):
+        sol = opm.solve_opm(grid, 3.0, n, gap_tol=1e-8)
+        assert sol.status == "converged", (n, sol.status)
+        disc = msr.moment_discrepancy(sol.measure, target, opm._K_MOMENTS)
+        assert disc <= 1e-10, (n, disc)
 
 
 @pytest.mark.parametrize(
@@ -604,7 +610,7 @@ def test_convergence_study_rows():
 
 def test_convergence_study_rows_equal_single_solves(monkeypatch):
     """The study factors the grid once, at its top degree; each row still equals
-    its own `solve_opm` bitwise."""
+    its own `solve_opm` from the discretized balayage bitwise."""
     sols = []
     solve = opm._solve
 
@@ -617,8 +623,9 @@ def test_convergence_study_rows_equal_single_solves(monkeypatch):
     rows = opm.convergence_study(g, 3.0, [4, 8, 12, 16], 330)
     monkeypatch.undo()
     grid = msr.discretize_boundary(g, 330)
+    start = msr.balayage_point_mass(g, 3.0, 330).weights
     for r, s in zip(rows, sols, strict=True):
-        ref = opm.solve_opm(grid, 3.0, r.n)
+        ref = opm.solve_opm(grid, 3.0, r.n, start=start)
         assert (r.objective, r.gap) == (ref.objective, ref.certificate_gap)
         assert r.iterations == ref.iterations
         assert np.array_equal(s.support, ref.support)
@@ -654,7 +661,109 @@ def test_convergence_study_rows_survive_a_failed_top_build(monkeypatch):
     monkeypatch.undo()
     assert rows[2].status == "error: injected"
     grid = msr.discretize_boundary(g, 330)
+    start = msr.balayage_point_mass(g, 3.0, 330).weights
     for r in rows[:2]:
-        ref = opm.solve_opm(grid, 3.0, r.n)
+        ref = opm.solve_opm(grid, 3.0, r.n, start=start)
         assert r.status == ref.status == "converged"
         assert (r.objective, r.gap, r.iterations) == (ref.objective, ref.certificate_gap, ref.iterations)
+
+
+@pytest.mark.parametrize(
+    "geom, m, degrees",
+    [(geo.unit_circle(), 256, [2, 8, 16]), (geo.ellipse(2.0, 1.0), 330, [8, 16, 24])],
+    ids=["circle", "ellipse21"],
+)
+def test_study_rows_that_the_balayage_certifies_take_no_step(monkeypatch, geom, m, degrees):
+    """Each curve row starts at the discretized balayage; where that start is
+    already within gap_tol, the row reports it with 0 iterations."""
+    sols = []
+    solve = opm._solve
+
+    def recording(*args):
+        sols.append(solve(*args))
+        return sols[-1]
+
+    monkeypatch.setattr(opm, "_solve", recording)
+    rows = opm.convergence_study(geom, 3.0, degrees, m, gap_tol=1e-7)
+    monkeypatch.undo()
+    grid = msr.discretize_boundary(geom, m)
+    target = msr.balayage_point_mass(geom, 3.0, m)
+    certified = 0
+    for r, s in zip(rows, sols, strict=True):
+        assert r.status == "converged"
+        if opm.certificate_gap(target, 3.0, r.n, grid) <= 1e-7:
+            certified += 1
+            assert r.iterations == 0
+            assert np.array_equal(s.support, np.arange(m))
+            np.testing.assert_allclose(s.measure.weights, target.weights, rtol=1e-14)
+            assert r.moment_discrepancy <= 1e-13
+    assert certified >= 2
+
+
+def test_folded_start_is_merged_per_orbit():
+    """A start that is not mirror-symmetric gives each orbit its total, and the
+    folded solve still returns bitwise equal weights on x and conj(x)."""
+    m = 128
+    grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), m)
+    assert opm._Work(grid, 3.0, 6).fold
+    start = np.random.default_rng(0).uniform(0.5, 1.5, m)
+    sol = opm.solve_opm(grid, 3.0, 6, gap_tol=1e-8, start=start)
+    assert sol.converged
+    orbits = start + start[-np.arange(m) % m]  # each orbit's total, on both of its nodes
+    mu = msr.DiscreteMeasure(grid, orbits / orbits.sum())
+    B0 = bergman.bergman_value(bergman.factorize(mu, 6), 3.0)
+    assert sol.objective_trace[0] == pytest.approx(B0, rel=1e-10)
+    w = np.zeros(m)
+    w[sol.support] = sol.measure.weights
+    assert np.array_equal(w, w[-np.arange(m) % m])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda s: s[:-1], lambda s: np.r_[s, 1.0], lambda s: s.reshape(2, -1), lambda s: s + 0j]
+    + [lambda s, v=v: np.where(np.arange(s.size) == 5, v, s) for v in (0.0, -1.0, np.nan, np.inf)],
+    ids=["short", "long", "2d", "complex", "zero", "negative", "nan", "inf"],
+)
+def test_start_must_be_positive_weights_on_the_nodes(edit):
+    grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 64)
+    start = edit(np.full(64, 1.0 / 64))
+    with pytest.raises(ValueError, match="start"):
+        opm.solve_opm(grid, 3.0, 4, start=start)
+
+
+def test_start_that_fails_to_factor_ends_numerical(monkeypatch):
+    """A Cholesky failure at the start is a `numerical` solve with no certified iterate."""
+
+    def failing(self, M):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(opm._Work, "core_state", failing)
+    grid = msr.discretize_boundary(geo.ellipse(2.0, 1.0), 64)
+    sol = opm.solve_opm(grid, 3.0, 4, start=np.ones(64))
+    assert sol.status == "numerical"
+    assert sol.iterations == 0
+    assert np.isnan(sol.objective) and sol.certificate_gap == np.inf
+
+
+def test_ellipse_sweep_takes_no_warmup_step(monkeypatch):
+    """The seed-0 `ellipse_sweep` study starts every row at the balayage: no
+    multiplicative step, and few steps and factorizations in all (the uniform
+    start took 45 iterations, 37 reweightings and 56 factorizations)."""
+    calls = {"mult": 0, "core_state": 0}
+    try_mult, core_state = opm._try_mult, opm._Work.core_state
+
+    def mult(*args):
+        calls["mult"] += 1
+        return try_mult(*args)
+
+    def factor(self, M):
+        calls["core_state"] += 1
+        return core_state(self, M)
+
+    monkeypatch.setattr(opm, "_try_mult", mult)
+    monkeypatch.setattr(opm._Work, "core_state", factor)
+    rows = opm.convergence_study(geo.ellipse(2.0, 1.0), 3.0, list(range(4, 33, 4)), 660, gap_tol=1e-7)
+    assert all(r.status == "converged" for r in rows)
+    assert calls["mult"] == 0
+    assert sum(r.iterations for r in rows) <= 10
+    assert calls["core_state"] <= 20
