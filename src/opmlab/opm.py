@@ -40,6 +40,10 @@ each step is judged by its exact change of B.  A Newton step solves
 its quadratic model over the nonnegative weights, not only up to the first
 weight boundary, so the nodes it empties leave in one step: the support
 moves to the grid optimum in a few steps per round, not one node per step.
+Its active set also frees a node held at zero whose multiplier turns
+negative, so an entrant stays in the round when the first KKT solve gives
+it a negative direction (its ridge-amplified null-space part can, when the
+round has more nodes than rank(D)).
 
 Conjugate pairs are folded when z0 is real and conjugation maps the grid
 exactly onto itself (the circle, the ellipse and real-coefficient Laurent
@@ -89,6 +93,7 @@ from .measure import DiscreteMeasure
 _WARMUP_STEPS = 10
 _NEWTON_STEPS = 40
 _ZERO_WEIGHT = 1e-15  # a weight at or below this, on unit mass, counts as zero
+_RELEASE_TOL = 1e-9  # a fixed node whose multiplier is below -this * max score is freed
 _K_MOMENTS = 8  # moments 1..8 enter a convergence row's moment discrepancy
 
 
@@ -266,10 +271,11 @@ def _try_mult(work: _Work, w: np.ndarray, B: float, scores: np.ndarray):
     return None
 
 
-def _caratheodory(C: np.ndarray, W: np.ndarray, rank: int):
+def _caratheodory(C: np.ndarray, W: np.ndarray):
     """Zero entries of W >= 0 along the null space of C; C @ W stays fixed.
 
-    The null space is spanned by the right singular vectors of C past `rank`.
+    The null space is spanned by the right singular vectors of C past its
+    rank, the number of singular values above 1e-12 of the largest.
     Each vector moves W to its first boundary, and the zeroed entry is then
     eliminated from the remaining vectors with the one that has the largest
     entry there, so every multiplier is at most 1 in modulus.  The
@@ -277,7 +283,8 @@ def _caratheodory(C: np.ndarray, W: np.ndarray, rank: int):
     becomes exactly zero (its multiplier is x / x = 1) and is passed over
     when its turn comes, so no vector is deleted or copied.
     """
-    V = np.linalg.svd(C)[2][rank:]  # one null vector per row
+    _, sv, V = np.linalg.svd(C)
+    V = V[np.count_nonzero(sv > 1e-12 * sv[0]) :]  # one null vector per row
     W = W.copy()
     ratios = np.empty(W.size)
     c = 0  # the rows before c are used up
@@ -320,12 +327,10 @@ def _reduce_support(work: _Work, w: np.ndarray, Li, B: float, y):
     the rows of C is returned as it is.
     """
     pos = np.flatnonzero(w)
-    C = np.vstack((work.frame(Li, pos, work.kernel(y, pos) / np.sqrt(B)), np.ones(pos.size)))
-    groups = 2 * C.shape[0]
+    groups = 2 * (work.n + 2 if work.fold else 2 * work.n + 3)  # twice the rows of C
     if pos.size <= groups:
         return w, Li, B, y
-    sv = np.linalg.svd(C, compute_uv=False)
-    rank = int(np.count_nonzero(sv > 1e-12 * sv[0]))
+    C = np.vstack((work.frame(Li, pos, work.kernel(y, pos) / np.sqrt(B)), np.ones(pos.size)))
     wp = w[pos]
     live = np.arange(pos.size)
     while live.size > groups:
@@ -335,12 +340,12 @@ def _reduce_support(work: _Work, w: np.ndarray, Li, B: float, y):
         Cw *= wp[live]
         Cg = np.add.reduceat(Cw, starts, axis=1) / Wg
         del Cw
-        scale = np.repeat(_caratheodory(Cg, Wg, rank) / Wg, np.diff(starts, append=live.size))
+        scale = np.repeat(_caratheodory(Cg, Wg) / Wg, np.diff(starts, append=live.size))
         if np.all(scale > 0.0):
             break  # a null vector always zeroes a group, so only rounding gets here
         wp[live] *= scale
         live = live[scale > 0.0]
-    wp[live] = _caratheodory(C[:, live], wp[live], rank)
+    wp[live] = _caratheodory(C[:, live], wp[live])
     wp[wp < _ZERO_WEIGHT * wp.sum()] = 0.0
     w_red = np.zeros_like(w)
     w_red[pos] = wp / wp.sum()
@@ -370,13 +375,22 @@ def _model_step(kkt: np.ndarray, rhs: np.ndarray, w0: np.ndarray):
     [g; 0] of the model -g.d + d^T H d / 2 on all nodes.  Each pass solves it
     on the free nodes and moves from the current d toward that solution up
     to the first weight boundary; the node found there is fixed at zero
-    (d_j = -w0_j, its pull kkt[:, j] w0_j moved to the right-hand side), so
-    nodes only leave.  Nodes at zero weight (at most `_ZERO_WEIGHT`) whose
-    direction is negative at the start leave together before any move, as a
-    boundary at step length 0, fixed the same way.
-    The model decreases along every move, and the loop ends when the
-    solution on the free nodes is feasible.  Returns that d, or None when
-    the solve yields no usable direction.
+    (d_j = -w0_j, its pull kkt[:, j] w0_j moved to the right-hand side).
+    Nodes at zero weight (at most `_ZERO_WEIGHT`) whose direction is
+    negative at the start leave together before any move, as a boundary at
+    step length 0, fixed the same way.
+    When the solution on the free nodes is feasible, d moves there and the
+    fixed nodes' multipliers mu = H d + lam - g are read off: mu_j < 0 means
+    that weight on node j lowers the model, so the most negative one (below
+    -`_RELEASE_TOL` max|g|) is freed, its pull taken back, and the passes go
+    on from d.  So a zero-weight entrant that its first direction fixes
+    comes back when the nodes fixed after it turn that direction round.
+    The model decreases along every move, and the loop ends when no
+    multiplier is negative: d is then the model's minimizer over the
+    nonnegative weights.  A strictly convex model admits no cycle, but
+    rounding could, so the passes are bounded by 4s; at the bound the
+    current feasible d is returned.  Returns d, or None when the solve yields
+    no usable direction.
     """
     s = w0.size
     free = np.ones(s, dtype=bool)
@@ -384,7 +398,7 @@ def _model_step(kkt: np.ndarray, rhs: np.ndarray, w0: np.ndarray):
     d = np.zeros(s)
     lim = np.empty(s)
     moved = False
-    while True:
+    for _ in range(4 * s):
         rows = np.append(np.flatnonzero(free), s)
         A = kkt.take(rows, 0).take(rows, 1)
         try:
@@ -408,12 +422,21 @@ def _model_step(kkt: np.ndarray, rhs: np.ndarray, w0: np.ndarray):
         np.divide(w0 + d, -step, out=lim, where=neg)
         j = int(lim.argmin())
         if lim[j] >= 1.0:
-            return target if np.abs(target).max() > 0.0 else None
-        d += lim[j] * step
-        d[j] = -w0[j]
-        free[j] = False
-        b += kkt[:, j] * w0[j]
+            d = target
+            mu = kkt[:s, :s] @ d + sol[-1] - rhs[:s]  # the fixed nodes' multipliers
+            mu[free] = np.inf
+            j = int(mu.argmin())
+            if mu[j] >= -_RELEASE_TOL * np.abs(rhs[:s]).max():
+                break
+            free[j] = True  # its weight lowers the model: let it back in
+            b -= kkt[:, j] * w0[j]
+        else:
+            d += lim[j] * step
+            d[j] = -w0[j]
+            free[j] = False
+            b += kkt[:, j] * w0[j]
         moved = True
+    return d if np.abs(d).max() > 0.0 else None
 
 
 def _newton_solve(work: _Work, w, Li, B, y, idx, gap_tol: float, trace: list[float]):
@@ -437,9 +460,11 @@ def _newton_solve(work: _Work, w, Li, B, y, idx, gap_tol: float, trace: list[flo
     the nonnegative weights of unit mass (`_model_step`), from one H: the
     nodes that the model empties leave in one certified step, where a step
     cut at the first weight boundary would drop one node per step.  `idx`
-    may hold nodes at zero weight (the entrants); those whose KKT step is
-    negative leave before any move, and a node is dropped once a step takes
-    it to zero.  The model's point is tried first, then halved along the
+    may hold nodes at zero weight (the entrants); the model step fixes those
+    whose first KKT direction is negative and frees them again when their
+    multiplier turns negative, so it weights an entrant whenever its exact
+    minimizer does.  A node is dropped from `idx` once an accepted step
+    takes it to zero.  The model's point is tried first, then halved along the
     segment from w to it, which stays feasible by convexity: close to K the
     full step can ascend (the segment at x0 = 1.01), and a halved one then
     descends.  Each trial is judged on its normalized weights w' = (w +

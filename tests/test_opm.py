@@ -5,6 +5,7 @@ import pytest
 
 from caratheodory_oracle import caratheodory_reference
 from degree_one_oracle import exhaustive_min, weight_grid
+from model_step_oracle import exact_model_minimizer
 from opmlab import bergman, geometry as geo, measure as msr, opm
 from opmlab.errors import EmptySupport, RankDeficient
 
@@ -274,6 +275,120 @@ def test_model_step_fixes_a_tiny_weight_that_leaves(monkeypatch):
     assert np.all(w0 + d >= 0.0)
     assert abs(d.sum()) <= 1e-15
     assert solves == [s + 1, s]
+
+
+def _ridged_model(seed):
+    """A Newton step's bordered model on s <= 8 nodes, as `_newton_solve` builds
+    it: H = 2 D^T D with rank(D) possibly below s, the 1e-12 ridge, scores
+    as g, and unit-mass weights with some zero-weight entrants."""
+    rng = np.random.default_rng(seed)
+    s = int(rng.integers(3, 9))
+    D = rng.standard_normal((int(rng.integers(s // 2, s + 1)), s))
+    H = 2.0 * D.T @ D
+    kkt = np.zeros((s + 1, s + 1))
+    kkt[:s, :s] = H + np.eye(s) * (1e-12 * max(1.0, float(H.diagonal().max())))
+    kkt[:s, s] = kkt[s, :s] = 1.0
+    rhs = np.zeros(s + 1)
+    rhs[:s] = rng.uniform(0.5, 1.5, s)
+    w0 = rng.random(s)
+    w0[rng.permutation(s)[: int(rng.integers(1, s - 1))]] = 0.0
+    return kkt, rhs, w0 / w0.sum()
+
+
+def test_model_step_is_the_exact_minimizer():
+    """The model step equals the minimizer over {w0 + d >= 0, sum(d) = 0} found
+    by enumerating every active set, also where a zero-weight entrant's first
+    direction is negative but its optimal weight is positive (the first solve
+    fixes it, and only its negative multiplier brings it back)."""
+    returning = 0
+    for seed in range(40):
+        kkt, rhs, w0 = _ridged_model(seed)
+        s = w0.size
+        ref = exact_model_minimizer(kkt, rhs, w0)
+        d = opm._model_step(kkt, rhs, w0)
+        assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max(), seed
+        first = np.linalg.solve(kkt, rhs)[:s]
+        returning += np.any((w0 == 0.0) & (first < 0.0) & (w0 + ref > 1e-8))
+    assert returning >= 5
+
+
+def test_model_step_passes_are_bounded(monkeypatch):
+    """Should rounding make the active set cycle, fixing and freeing one node
+    without end, the passes stop at 4s and the current feasible point is
+    returned.  Here every solve with node 0 free reports it a negative
+    direction, while with node 0 fixed its multiplier is negative."""
+    solves = []
+    solve = np.linalg.solve
+
+    def cycling(A, b):
+        solves.append(A.shape[0])
+        sol = solve(A, b)
+        if A.shape[0] == s + 1:
+            sol[0] = -1e-3
+        return sol
+
+    monkeypatch.setattr(np.linalg, "solve", cycling)
+    s = 3
+    kkt = np.zeros((s + 1, s + 1))
+    kkt[:s, :s] = 2.0 * np.eye(s)
+    kkt[:s, s] = kkt[s, :s] = 1.0
+    rhs = np.array([3.0, 1.5, 1.0, 0.0])  # mu_0 = -1.75 with node 0 fixed at zero
+    w0 = np.array([0.0, 0.5, 0.5])
+    d = opm._model_step(kkt, rhs, w0)
+    assert len(solves) == 4 * s
+    np.testing.assert_allclose(d, [0.0, 0.125, -0.125], rtol=0.0, atol=1e-15)
+
+
+C35 = geo.laurent_curve(1, 0, tuple(0.2 * k**-3.5 for k in range(1, 401)))  # finite smoothness
+
+
+@pytest.mark.parametrize(
+    "geom, m, z0, n, balayage, most",
+    [
+        (geo.interval(), 2000, 1.0967j, 30, False, 25),
+        (geo.ellipse(5.0, 1.0), 1000, 1.1j, 3, True, 35),
+        (geo.ellipse(5.0, 1.0), 1000, 1.1j, 8, True, 35),
+        (geo.ellipse(5.0, 1.0), 1000, 1.1j, 16, True, 35),
+        (C35, 2000, 1 + 1j, 32, True, 120),
+    ],
+    ids=["segment-1.0967i-n30", "ellipse51-1.1i-n3", "ellipse51-1.1i-n8", "ellipse51-1.1i-n16",
+         "c35-1+1i-n32"],
+)
+def test_nonreal_rounds_keep_their_best_entrant(geom, m, z0, n, balayage, most):
+    """At nonreal z0 a round's first KKT solve can give its max-score entrant
+    a negative direction; the model step brings it back, so the round does
+    not converge without it.  A model step whose nodes only left took 43,
+    56, 64, 128 and 386 iterations on these solves (gap_tol 1e-8; the curves
+    from the discretized balayage)."""
+    start = msr.balayage_point_mass(geom, z0, m).weights if balayage else None
+    sol = opm.solve_opm(msr.discretize_boundary(geom, m), z0, n, gap_tol=1e-8, start=start)
+    assert sol.converged
+    assert sol.iterations <= most
+    assert_descends(sol.objective_trace)
+
+
+SURVEY = [
+    (geo.interval(), 2000, [2, 1j, 1 + 0.5j]),
+    (geo.unit_circle(), 1000, [2, 1.1j, 1.5 + 1.5j]),
+    (geo.ellipse(2.0, 1.0), 660, [3, 2.2j, 2.5 + 1.5j]),
+    (geo.ellipse(5.0, 1.0), 1000, [6, 1.5j, 5 + 1j]),
+    (geo.laurent_curve(1, 0, (0, 0.15)), 660, [2, 1.5j, 1.5 + 1j]),
+]
+
+
+def test_survey_converges_within_its_iteration_budget():
+    """Sixty uniform-start solves at gap_tol 1e-8 (five geometries, three z0
+    each, n = 3, 8, 16, 24) all converge, in at most 1150 iterations in all
+    (1300 when the model step only let nodes leave): a fixed counter of the
+    solver's work."""
+    total = 0
+    for geom, m, points in SURVEY:
+        grid = msr.discretize_boundary(geom, m)
+        for z0, n in itertools.product(points, (3, 8, 16, 24)):
+            sol = opm.solve_opm(grid, z0, n, gap_tol=1e-8)
+            assert sol.converged, (geom.kind, z0, n)
+            total += sol.iterations
+    assert total <= 1150
 
 
 def test_exchange_leaves_no_split_atom():
@@ -546,8 +661,9 @@ def _random_constraints(rng, rows, cols):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_caratheodory_matches_the_deleting_reference(seed):
-    """The in-place elimination gives bitwise the weights of the reference that
-    deletes each pivot column; C @ W stays and at most rank(C) weights are left."""
+    """The in-place elimination, which reads the rank off its own SVD, gives
+    bitwise the weights of the reference that deletes each pivot column at
+    the rank found here; C @ W stays and at most rank(C) weights are left."""
     rng = np.random.default_rng(seed)
     r = 6 + 8 * seed
     cases = [_random_constraints(rng, r, 2 * r), _random_constraints(rng, r, 4 * r)]
@@ -559,7 +675,7 @@ def test_caratheodory_matches_the_deleting_reference(seed):
         rank = int(np.count_nonzero(sv > 1e-12 * sv[0]))
         W = rng.random(C.shape[1])
         W /= W.sum()
-        out = opm._caratheodory(C, W, rank)
+        out = opm._caratheodory(C, W)
         assert np.array_equal(out, caratheodory_reference(C, W, rank))
         assert np.abs(C @ out - C @ W).max() <= 1e-13
         assert np.all(out >= 0.0)
