@@ -14,36 +14,25 @@ share one certificate primitive (the node scores |K_n(x_i, z0)|^2):
     w_i -> w_i * score_i / B, which is self-normalizing and lands on smooth
     optima within a few steps (near the discretized balayage of the point
     mass, their limit as n grows);
-  * exchange rounds of Newton steps on the weights of the support plus
-    entrants at zero weight: the max-score node of each atom's cell (the
-    grid nodes nearest that atom), the overall max-score node among them.
-    Every atom can so move to a better node in the same round, and the
-    Newton step removes the slow endgame of reweighting when the grid
-    optimum splits an atom across adjacent nodes.
+  * Newton steps whose quadratic model runs over the whole grid: each
+    iteration is one such step, with no inner loop on a fixed node set.
 
 A given start (`solve_opm`'s `start`; on a curve, that balayage itself)
 takes no warmup: it is certified as it is, and at high degree it already
 converges with no step.
 
-Before a Newton round a large support is reduced without changing B.  With
+Each Newton step first reduces a large support without changing B.  With
 L the Cholesky factor of M and Li = L^{-1} its inverse (which
 `_Work.core_state` returns, so that no triangular solve is needed),
 y = M^{-1} c, k_i = u_i^H y and G the matrix with columns Li u_i k_i, the
 weight Hessian is 2 Re(G^H G) = 2 D^T D with D = [Re G; Im G], and a weight
-change d with D d = 0 gives (M + dM) y = M y = c: y, B and every node score
-stay exactly as they were.  If also sum(d) = 0 the mass stays too.  Stepping
-along such directions to a weight boundary (a Caratheodory reduction) leaves
-at most rank([D; 1^T]) <= 2n + 3 nodes; a c-optimal design has an optimum
-with at most 2n + 1 atoms.  The cell entrants come on top of that set, so
-the Newton KKT matrix may be singular; a ridge keeps the solve defined, and
-each step is judged by its exact change of B.  A Newton step solves
-its quadratic model over the nonnegative weights, not only up to the first
-weight boundary, so the nodes it empties leave in one step: the support
-moves to the grid optimum in a few steps per round, not one node per step.
-Its active set also frees a node held at zero whose multiplier turns
-negative, so an entrant stays in the round when the first KKT solve gives
-it a negative direction (its ridge-amplified null-space part can, when the
-round has more nodes than rank(D)).
+change d with D d = 0 and sum(d) = 0 leaves y, B, every node score and the
+mass exactly as they were.  Stepping along such directions to a weight
+boundary (a Caratheodory reduction) leaves at most rank([D; 1^T]) <= 2n + 3
+nodes; a c-optimal design has an optimum with at most 2n + 1 atoms.  The
+step then minimizes its quadratic model over the nonnegative weights of
+unit mass on every node, growing the model's node set from the small side
+(`_newton_step`), and is taken only on an exact decrease of B.
 
 Conjugate pairs are folded when z0 is real and conjugation maps the grid
 exactly onto itself (the circle, the ellipse and real-coefficient Laurent
@@ -75,7 +64,9 @@ and in floating point it moves B (measured up to 1.4e-12 relative).  Each
 step returns the state (Li, B, y) that `_Work.core_state` computed for the
 weights it accepted, so no matrix is factored twice; `_iterate` certifies
 each iterate once, from that state, and the solution reports the weights,
-B and gap of the lowest-gap one as they were certified there.
+B and gap of the lowest-gap one as they were certified there.  A solve
+stalls when a step finds no descent, or when the best gap has not fallen
+for `_STALL_STEPS` steps (a gap_tol below the rounding of the certificate).
 """
 
 from __future__ import annotations
@@ -91,7 +82,7 @@ from .errors import EmptySupport, OpmlabError
 from .measure import DiscreteMeasure
 
 _WARMUP_STEPS = 10
-_NEWTON_STEPS = 40
+_STALL_STEPS = 40  # a solve whose best gap has not fallen for this many steps stalls
 _ZERO_WEIGHT = 1e-15  # a weight at or below this, on unit mass, counts as zero
 _RELEASE_TOL = 1e-9  # a fixed node whose multiplier is below -this * max score is freed
 _K_MOMENTS = 8  # moments 1..8 enter a convergence row's moment discrepancy
@@ -320,7 +311,7 @@ def _reduce_support(work: _Work, w: np.ndarray, Li, B: float, y):
     since B reaches 1e33.  The support is merged in twice as many contiguous
     groups as C has rows, each moving by a common factor (recombination), so
     one small SVD removes about half of them.  The atoms left define the
-    cells from which `_iterate` draws the entrants of the round.
+    cells from which `_newton_step` draws its first entrants.
 
     Returns (w, Li, B, y) at the reduced weights, B recomputed: rounding
     moves it (measured up to 1.4e-12 relative).  A support of at most twice
@@ -439,87 +430,97 @@ def _model_step(kkt: np.ndarray, rhs: np.ndarray, w0: np.ndarray):
     return d if np.abs(d).max() > 0.0 else None
 
 
-def _newton_solve(work: _Work, w, Li, B, y, idx, gap_tol: float, trace: list[float]):
-    """Equality-constrained Newton on the weights of the node subset `idx`.
+def _newton_step(work: _Work, w, Li, B, y, k, gap_tol: float):
+    """One Newton step whose quadratic model runs over the whole grid.
 
-    With Li = L^{-1} the inverse Cholesky factor of M, G = Li U_idx^T diag(k)
-    and k_i = u_i^H M^{-1} c, the weight Hessian is H = 2 D^T D, with
-    D = [Re G; Im G], or Re G when folded (`_Work.frame`).  In a folded
-    solve the weights are orbit masses, and the same H and the same exact
-    dB below hold for them.  Directions with D d = 0 and sum(d) = 0 leave
-    M^{-1} c, and so B, exactly unchanged, and they make the KKT matrix
-    singular.  `_reduce_support` removes them from the support, but the
-    zero-weight entrants of an exchange round can bring them back, so `idx`
-    may exceed the rank of its C = [D; 1^T], and the quadratic model then
-    has no unique minimizer.  The 1e-12 ridge keeps the KKT solve defined
-    (its near-null component is what swaps one atom for another), and the
-    step stays safe because it is judged by its exact change of B and taken
-    only on descent.
+    After `_reduce_support`, the model -g . d + d^T H d / 2 (g = |k|^2 and
+    H = 2 D^T D, D = `_Work.frame`; orbit masses when folded) is minimized
+    over the nonnegative weights of unit mass by column generation, as
+    Lawson and Hanson's NNLS and Wolfe's minimum-norm point grow their sets.
+    S starts as the support plus one entrant per atom cell (`_cell_entrants`).
+    Each pass runs `_model_step` on S from the last pass's point v = w + d,
+    with H_S grown by the columns that enter, and prices every node j by
+    its multiplier mu_j = (H d)_j + lam - g_j: (H d)_j = 2 D_j^T z with
+    z = D_S d_S is 2 Re(k_j u_j^T Li^T conj(z)), one product with U, so D is
+    never formed for all nodes, and lam = v . (g - H d) on S by
+    complementarity.  The cell entrants (around the atoms of v) of the nodes
+    priced below -tol join S, and nodes at zero in both w and v leave it.
+    The passes end when none is left to enter, or when a pass does not
+    lower the model (rounding could cycle).  tol = B max(gap_tol, gap / 10)
+    / 4, gap that of w: far from the optimum the model is solved only as far
+    as the step can use (an inexact Newton step).  S may exceed the rank of
+    [D_S; 1^T]; the 1e-12 ridge keeps the KKT solve defined, and the step
+    is safe because it is judged by its exact change of B.
 
-    Each step minimizes the quadratic model -|k|^2 . d + d^T H d / 2 over
-    the nonnegative weights of unit mass (`_model_step`), from one H: the
-    nodes that the model empties leave in one certified step, where a step
-    cut at the first weight boundary would drop one node per step.  `idx`
-    may hold nodes at zero weight (the entrants); the model step fixes those
-    whose first KKT direction is negative and frees them again when their
-    multiplier turns negative, so it weights an entrant whenever its exact
-    minimizer does.  A node is dropped from `idx` once an accepted step
-    takes it to zero.  The model's point is tried first, then halved along the
-    segment from w to it, which stays feasible by convexity: close to K the
-    full step can ascend (the segment at x0 = 1.01), and a halved one then
-    descends.  Each trial is judged on its normalized weights w' = (w +
-    delta) / sum(w + delta) through the exact difference B(w') - B(w) =
-    sum_i delta_i (B - Re(conj(k_i) k'_i)), with k' the kernel coefficients
-    at w'.  That difference does not cancel, so descent is still resolved
-    when it is far below B's rounding.  A step is taken only when it is
-    negative, and its B is appended to `trace`; the round ends when no
-    trial descends.  The weights keep unit mass.
-    Returns (w, (Li, B, y), steps), the state as `_Work.core_state` computed
-    it at the last accepted trial (or as passed in); `trace` and the next dB
-    use B + dB.
+    The model's point is tried first, then halved toward w, which stays
+    feasible by convexity (close to K the full step can ascend, as on the
+    segment at x0 = 1.01).  A trial is judged on its normalized weights w'
+    by the exact difference B(w') - B(w) = sum_i delta_i (B - Re(conj(k_i)
+    k'_i)) over the nodes the step changes, k' the kernel coefficients at
+    w'; it does not cancel, so descent far below B's rounding is resolved.
+    Returns (w', (Li, B, y) as `_Work.core_state` computed it at w', B + dB),
+    or None when the model gives no direction or no trial descends.
     """
-    state = (Li, B, y)
-    steps = 0
-    while steps < _NEWTON_STEPS:
-        s = idx.size
-        if s < 2:
-            break
-        k = work.kernel(y, idx)  # k_i = u_i^H M^{-1} c
-        sc = np.abs(k) ** 2
-        if sc.max() / B - 1.0 <= 0.25 * gap_tol:
-            break
-        D = work.frame(Li, idx, k)
-        H = 2.0 * (D.T @ D)
-        kkt = np.zeros((s + 1, s + 1))
+    reduced = _reduce_support(work, w, Li, B, y)
+    if reduced[0] is not w:
+        w, Li, B, y = reduced
+        k = work.kernel(y)
+    g = np.abs(k) ** 2  # minus the weight gradient
+    tol = 0.25 * B * max(gap_tol, 0.1 * (g.max() / B - 1.0))
+    keep = w != 0.0  # a mask, not np.union1d, which imports numpy.ma (~19 ms)
+    keep[_cell_entrants(work.nodes, w, g, B + tol)] = True  # the max-score node among them
+    S = np.flatnonzero(keep)
+    D = work.frame(Li, S, k[S])
+    H = 2.0 * (D.T @ D)
+    vS = w[S]  # the model's point on S, from which each pass starts
+    q = np.inf  # the model value of the last pass
+    while True:
+        s = S.size
+        kkt = np.ones((s + 1, s + 1))
         kkt[:s, :s] = H + np.eye(s) * (1e-12 * max(1.0, float(H.diagonal().max())))
-        kkt[:s, s] = 1.0
-        kkt[s, :s] = 1.0
-        rhs = np.zeros(s + 1)
-        rhs[:s] = sc  # minus the weight gradient
-        dw = _model_step(kkt, rhs, w[idx])
-        if dw is None:
+        kkt[s, s] = 0.0
+        rhs = np.append(g[S] - kkt[:s, :s] @ (vS - w[S]), 0.0)  # minus the model's gradient at vS
+        e = _model_step(kkt, rhs, vS) if s > 1 else None
+        if e is not None:
+            vS = vS + e
+        d = vS - w[S]
+        v = np.zeros_like(w)
+        v[S] = vS
+        z = D @ d
+        if not work.fold:
+            z = z[: z.size // 2] + 1j * z[z.size // 2 :]
+        mu = 2.0 * np.real(k * np.conj(work.kernel(Li.T.conj() @ z)))  # (H d)_j
+        Hd = kkt[:s, :s] @ d
+        mu += vS @ (g[S] - Hd) - g
+        mu[S] = np.inf
+        E = _cell_entrants(work.nodes, v, -mu, tol)
+        q, q_last = d @ (0.5 * Hd - g[S]), q
+        if E.size == 0 or q >= q_last:
             break
-        for h in range(30):  # the model's point, then halved toward w
-            v = w[idx] + 0.5**h * dw
-            v[v <= _ZERO_WEIGHT] = 0.0
-            w_try = w.copy()
-            w_try[idx] = v
-            w_try /= w_try.sum()
-            try:
-                trial = work.core_state(work.moment_matrix(w_try))
-            except np.linalg.LinAlgError:
-                continue
-            dB = float((v - w[idx]) @ (B - np.real(np.conj(k) * work.kernel(trial[2], idx))))
-            if dB < 0.0:
-                break
-        else:
-            break  # no trial descends
-        w, state, B = w_try, trial, B + dB
-        Li, _, y = state
-        steps += 1
-        trace.append(B)
-        idx = idx[w[idx] > 0.0]
-    return w, state, steps
+        pos = np.flatnonzero((w[S] != 0.0) | (vS != 0.0))
+        D = np.hstack((D[:, pos], work.frame(Li, E, k[E])))
+        X = 2.0 * (D.T @ D[:, pos.size :])  # the columns of H that enter
+        H = np.hstack((np.vstack((H.take(pos, 0).take(pos, 1), X[: pos.size].T)), X))
+        S = np.append(S[pos], E)
+        vS = np.append(vS[pos], np.zeros(E.size))
+    moved = d != 0.0
+    S, d = S[moved], d[moved]
+    if S.size == 0:
+        return None
+    for h in range(30):  # the model's point, then halved toward w
+        v = w[S] + 0.5**h * d
+        v[v <= _ZERO_WEIGHT] = 0.0
+        w_try = w.copy()
+        w_try[S] = v
+        w_try /= w_try.sum()
+        try:
+            trial = work.core_state(work.moment_matrix(w_try))
+        except np.linalg.LinAlgError:
+            continue
+        dB = float((v - w[S]) @ (B - np.real(np.conj(k[S]) * work.kernel(trial[2], S))))
+        if dB < 0.0:
+            return w_try, trial, B + dB
+    return None  # no trial descends
 
 
 def solve_opm(
@@ -541,8 +542,10 @@ def solve_opm(
     limit of the optima) is such a start, and at high degree it certifies
     with no step.  A folded solve starts from each orbit's total of `start`.
 
-    Returns a converged solution, or the best iterate flagged via `status`
-    when the budget or the numerical floor is hit.  The reported objective,
+    Each iteration is one step, a warmup step or one Newton step over the
+    whole grid, and a solve takes at most `max_iters` of them.  Returns a
+    converged solution, or the best iterate flagged via `status` ("stalled":
+    no descent, or no fall of the best gap in 40 steps).  The reported objective,
     gap and weights are those of the best certified iterate of `_iterate`,
     so `status` is "converged" exactly when the reported gap is at most
     `gap_tol`.  A folded solve (real z0 on a grid that conjugation maps
@@ -600,19 +603,18 @@ def _solve(
 def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int, warmup: bool):
     """Run certified-descent steps until converged, stalled, or out of budget.
 
-    One loop with two phases.  With `warmup` (the uniform start), a warmup
-    of multiplicative reweighting steps solves the cases whose optimum
-    keeps broad support outright (one step from uniform lands on the
-    discretized balayage); it ends at the first rejected step or after
+    One loop, one step per iteration.  With `warmup` (the uniform start), a
+    warmup of multiplicative reweighting steps solves the cases whose
+    optimum keeps broad support outright (one step from uniform lands on
+    the discretized balayage); it ends at the first rejected step or after
     `_WARMUP_STEPS` steps.  A given start skips it: from the balayage,
-    reweighting only spends steps that the exchange rounds would spend
-    better.  Exchange rounds follow:
-    a B-neutral reduction of a large support to at most 2n + 3 nodes, n + 2
-    orbits when folded (`_reduce_support`), then a Newton solve on those
-    atoms plus one zero-weight entrant per atom cell (`_cell_entrants`),
-    among nodes scoring above B (1 + gap_tol / 4), the bound at which
-    `_newton_solve` stops.  A round that takes no step ends the solve as
-    stalled, because the next round would repeat it.
+    reweighting only spends steps that Newton would spend better.  Every
+    later iteration is one `_newton_step`, whose model runs over the whole
+    grid.  The budget is checked before every step, so a solve takes at
+    most `max_iters` steps.  It ends "stalled" when a Newton step finds no
+    descent (the next step would repeat it), or when the best certified gap
+    has not fallen for `_STALL_STEPS` steps: below the rounding of the
+    certificate the steps still lower B by amounts the gap cannot show.
 
     Every iterate is certified here, once, from the state (Li, B, y) that
     its step computed: the scores are |u_i^H y|^2.  The only factorization
@@ -621,14 +623,11 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int, warmup:
     should its Cholesky factorization fail in floating point, the solve
     ends "numerical" with no certified iterate: B is NaN and the gap inf.
 
-    An iteration is one accepted step of either type.  A reduction is not a
-    step: it moves weight only along directions that leave y = M^{-1} c,
-    and so B, as they were up to rounding (measured up to 1.4e-12
-    relative), so it neither counts as an iteration nor adds a trace entry;
-    Newton continues from the B recomputed at the reduced weights.  The
-    objective trace holds the starting B and the B after each accepted
-    step, so it has iterations + 1 entries and is nonincreasing up to that
-    drift.
+    A reduction is not a step: it leaves y = M^{-1} c, and so B, as they
+    were up to rounding (measured up to 1.4e-12 relative), so it adds no
+    trace entry.  The objective trace holds the starting B and the B after
+    each accepted step, so it has iterations + 1 entries and is
+    nonincreasing up to that drift.
 
     Returns (status, (gap, B, w) of the lowest-gap certified iterate, trace).
     """
@@ -638,17 +637,20 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int, warmup:
     except np.linalg.LinAlgError:
         return "numerical", best, [np.nan]
     trace = [B]  # the starting point
-    it_round = -1
+    fell = 0  # the iteration at which the best gap last fell
     while True:
-        scores = np.abs(work.kernel(y)) ** 2
+        k = work.kernel(y)
+        scores = np.abs(k) ** 2
         it = len(trace) - 1
         gap = float(scores.max() / B - 1.0)
         if gap < best[0]:
-            best = (gap, B, w)  # no step changes weights in place
+            best, fell = (gap, B, w), it  # no step changes weights in place
         if gap <= gap_tol:
             return "converged", best, trace
         if it >= max_iters:
             return "max_iters", best, trace
+        if it - fell >= _STALL_STEPS:
+            return "stalled", best, trace  # steps at the rounding floor, with no gain
 
         if warmup:
             mult = _try_mult(work, w, B, scores) if it < _WARMUP_STEPS else None
@@ -657,20 +659,14 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int, warmup:
                 trace.append(B)
                 continue
             warmup = False  # no descending reweighting, or the budget is spent
-        if it == it_round:
-            return "stalled", best, trace  # the last round took no step; this one would repeat it
-        it_round = it
-
         try:
-            w, Li, B, y = _reduce_support(work, w, Li, B, y)
+            step = _newton_step(work, w, Li, B, y, k, gap_tol)
         except np.linalg.LinAlgError:
             return "numerical", best, trace
-        # the max-score node is in the support or heads its own cell
-        entrants = _cell_entrants(work.nodes, w, scores, B * (1.0 + 0.25 * gap_tol))
-        keep = w != 0.0  # a mask, not np.union1d, which imports numpy.ma (~19 ms)
-        keep[entrants] = True
-        idx = np.flatnonzero(keep)
-        w, (Li, B, y), _ = _newton_solve(work, w, Li, B, y, idx, gap_tol, trace)
+        if step is None:
+            return "stalled", best, trace  # the next step would repeat this one
+        w, (Li, B, y), B_step = step
+        trace.append(B_step)
 
 
 def certificate_gap(mu: DiscreteMeasure, z0: complex, n: int, grid: np.ndarray) -> float:
