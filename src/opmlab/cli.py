@@ -355,7 +355,9 @@ def cmd_opm(cfg: ExperimentConfig) -> int:
         ]
     )
     _atomic_write_text(os.path.join(out, "summary.txt"), summary + "\n")
-    _append_run_log(out, [f"opm degree={n}: {dt:.3f} s, status={sol.status}"])
+    _append_run_log(
+        out, [f"opm degree={n}: {dt:.3f} s, status={sol.status}, iterations={sol.iterations}"]
+    )
     print(summary)
     if sol.status != "converged":
         print(f"solver did not converge: status={sol.status}", file=sys.stderr)
@@ -417,7 +419,9 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
             "status": [r.status for r in rows],
         },
     )
-    _append_run_log(out, [f"n={r.n}: {r.seconds:.3f} s, status={r.status}" for r in rows])
+    _append_run_log(
+        out, [f"n={r.n}: {r.seconds:.3f} s, status={r.status}, iterations={r.iterations}" for r in rows]
+    )
     for r in rows:
         print(
             f"n={r.n} objective={r.objective:.6g} tilde_B={r.tilde_bergman:.8f} "

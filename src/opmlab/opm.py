@@ -21,18 +21,24 @@ A given start (`solve_opm`'s `start`; on a curve, that balayage itself)
 takes no warmup: it is certified as it is, and at high degree it already
 converges with no step.
 
-Each Newton step first reduces a large support without changing B.  With
+Each Newton step minimizes its quadratic model over the nonnegative weights
+of unit mass on every node, growing the model's node set from the small
+side (`_newton_step`), and is taken only on an exact decrease of B.  With
 L the Cholesky factor of M and Li = L^{-1} its inverse (which
 `_Work.core_state` returns, so that no triangular solve is needed),
 y = M^{-1} c, k_i = u_i^H y and G the matrix with columns Li u_i k_i, the
-weight Hessian is 2 Re(G^H G) = 2 D^T D with D = [Re G; Im G], and a weight
-change d with D d = 0 and sum(d) = 0 leaves y, B, every node score and the
-mass exactly as they were.  Stepping along such directions to a weight
-boundary (a Caratheodory reduction) leaves at most rank([D; 1^T]) <= 2n + 3
-nodes; a c-optimal design has an optimum with at most 2n + 1 atoms.  The
-step then minimizes its quadratic model over the nonnegative weights of
-unit mass on every node, growing the model's node set from the small side
-(`_newton_step`), and is taken only on an exact decrease of B.
+weight Hessian is 2 Re(G^H G) = 2 D^T D with D = [Re G; Im G].  A support
+larger than twice the rows of C = [D; 1^T] seeds the model with the
+max-score node of each of that many contiguous support groups; a smaller
+one seeds it with the support and its cell entrants.  Only when a broad
+seed's model does not fall below the iterate's value, or no halving of its
+step descends, does the step reduce the support first, without changing B:
+a weight change d with D d = 0 and sum(d) = 0 leaves y, B, every node score
+and the mass exactly as they were, and stepping along such directions to a
+weight boundary (a Caratheodory reduction) leaves at most rank(C) <= 2n + 3
+nodes; a c-optimal design has an optimum with at most 2n + 1 atoms.  That
+fallback covers exactly broad optima, such as the circle's discretized
+Poisson measure, which no sparse seed can tie.
 
 Conjugate pairs are folded when z0 is real and conjugation maps the grid
 exactly onto itself (the circle, the ellipse and real-coefficient Laurent
@@ -59,8 +65,9 @@ there only c, y, k and G are complex.  No flag selects any of this; `_Work`
 reads it off the grid and z0, once.
 
 Each step is accepted only on certified descent, so the objective is
-nonincreasing across iterations up to rounding: a reduction is not a step,
-and in floating point it moves B (measured up to 1.4e-12 relative).  Each
+nonincreasing across iterations up to rounding: a fallback reduction is not
+a step, and in floating point it moves B (measured up to 1.4e-12 relative);
+no other step moves B off its certified value.  Each
 step returns the state (Li, B, y) that `_Work.core_state` computed for the
 weights it accepted, so no matrix is factored twice; `_iterate` certifies
 each iterate once, from that state, and the solution reports the weights,
@@ -183,6 +190,11 @@ class _Work:
         sub.n = n
         sub._set_basis(self.U[:, : n + 1], self.c[: n + 1])
         return sub
+
+    @property
+    def groups(self) -> int:
+        """Twice the rows of C = [D; 1^T]: n + 2 when folded, else 2n + 3."""
+        return 2 * (self.n + 2 if self.fold else 2 * self.n + 3)
 
     def unfold(self, w: np.ndarray) -> np.ndarray:
         """Node weights on the original grid: each orbit's mass split equally."""
@@ -309,16 +321,17 @@ def _reduce_support(work: _Work, w: np.ndarray, Li, B: float, y):
     are left.
     The 1/sqrt(B) scaling keeps the mass row on the scale of the others,
     since B reaches 1e33.  The support is merged in twice as many contiguous
-    groups as C has rows, each moving by a common factor (recombination), so
-    one small SVD removes about half of them.  The atoms left define the
-    cells from which `_newton_step` draws its first entrants.
+    groups as C has rows (`_Work.groups`), each moving by a common factor
+    (recombination), so one small SVD removes about half of them.
+    `_newton_step` calls this only as its fallback, when a model seeded on
+    a broad support finds no descent; the atoms left then seed its rerun.
 
     Returns (w, Li, B, y) at the reduced weights, B recomputed: rounding
     moves it (measured up to 1.4e-12 relative).  A support of at most twice
     the rows of C is returned as it is.
     """
     pos = np.flatnonzero(w)
-    groups = 2 * (work.n + 2 if work.fold else 2 * work.n + 3)  # twice the rows of C
+    groups = work.groups
     if pos.size <= groups:
         return w, Li, B, y
     C = np.vstack((work.frame(Li, pos, work.kernel(y, pos) / np.sqrt(B)), np.ones(pos.size)))
@@ -433,24 +446,33 @@ def _model_step(kkt: np.ndarray, rhs: np.ndarray, w0: np.ndarray):
 def _newton_step(work: _Work, w, Li, B, y, k, gap_tol: float):
     """One Newton step whose quadratic model runs over the whole grid.
 
-    After `_reduce_support`, the model -g . d + d^T H d / 2 (g = |k|^2 and
-    H = 2 D^T D, D = `_Work.frame`; orbit masses when folded) is minimized
-    over the nonnegative weights of unit mass by column generation, as
-    Lawson and Hanson's NNLS and Wolfe's minimum-norm point grow their sets.
-    S starts as the support plus one entrant per atom cell (`_cell_entrants`).
-    Each pass runs `_model_step` on S from the last pass's point v = w + d,
-    with H_S grown by the columns that enter, and prices every node j by
-    its multiplier mu_j = (H d)_j + lam - g_j: (H d)_j = 2 D_j^T z with
-    z = D_S d_S is 2 Re(k_j u_j^T Li^T conj(z)), one product with U, so D is
-    never formed for all nodes, and lam = v . (g - H d) on S by
+    The model -g . (v - w) + ||D (v - w)||^2 in the new weights v (g = |k|^2,
+    D = `_Work.frame`, so its Hessian is H = 2 D^T D; orbit masses when
+    folded) is minimized over the nonnegative weights of unit mass by column
+    generation, as Lawson and Hanson's NNLS and Wolfe's minimum-norm point
+    grow their sets.  v is zero off the model's set S, so the nodes of w
+    outside S go to zero.  With b = D w, formed once from the support, and
+    z = D_S v_S - b, the model's gradient on S is 2 D_S^T z - g_S.
+
+    A support larger than `_Work.groups` (twice the rows of C, the bound of
+    `_reduce_support`) seeds S with the max-score node of each of that many
+    contiguous support groups, and v_S = w_S renormalized.  A smaller one
+    seeds S with the support plus one entrant per atom cell
+    (`_cell_entrants`), and v_S = w_S.  Each pass runs `_model_step` on S
+    from the last pass's v_S, with H_S grown by the columns that enter, and
+    prices every node j by its multiplier mu_j = 2 D_j^T z + lam - g_j:
+    D_j^T z is Re(k_j u_j^T Li^T conj(z)), one product with U, so D is
+    never formed for all nodes, and lam = v . (g - 2 D^T z) on S by
     complementarity.  The cell entrants (around the atoms of v) of the nodes
     priced below -tol join S, and nodes at zero in both w and v leave it.
     The passes end when none is left to enter, or when a pass does not
-    lower the model (rounding could cycle).  tol = B max(gap_tol, gap / 10)
-    / 4, gap that of w: far from the optimum the model is solved only as far
-    as the step can use (an inexact Newton step).  S may exceed the rank of
-    [D_S; 1^T]; the 1e-12 ridge keeps the KKT solve defined, and the step
-    is safe because it is judged by its exact change of B.
+    lower the model (rounding could cycle).  The model's value is summed
+    from the exact change of each pass, which resolves changes far below B.
+    tol = B max(gap_tol, gap / 10) / 4, gap that of w: far from the optimum
+    the model is solved only as far as the step can use (an inexact Newton
+    step).  S may exceed the rank of [D_S; 1^T]; the 1e-12 ridge keeps the
+    KKT solve defined, and the step is safe because it is judged by its
+    exact change of B.
 
     The model's point is tried first, then halved toward w, which stays
     feasible by convexity (close to K the full step can ascend, as on the
@@ -458,69 +480,84 @@ def _newton_step(work: _Work, w, Li, B, y, k, gap_tol: float):
     by the exact difference B(w') - B(w) = sum_i delta_i (B - Re(conj(k_i)
     k'_i)) over the nodes the step changes, k' the kernel coefficients at
     w'; it does not cancel, so descent far below B's rounding is resolved.
-    Returns (w', (Li, B, y) as `_Work.core_state` computed it at w', B + dB),
-    or None when the model gives no direction or no trial descends.
+    From a broad seed the model must also fall below its value at w (zero).
+    When it does not, or no trial descends, as at an exactly broad optimum
+    (the circle's discretized Poisson measure) that no sparse S can tie,
+    the step falls back on `_reduce_support` and reruns the same passes from
+    the reduced support, which is small.  Returns (w', (Li, B, y) as
+    `_Work.core_state` computed it at w', B + dB), or None when the model
+    gives no direction or no trial descends from a small support.
     """
-    reduced = _reduce_support(work, w, Li, B, y)
-    if reduced[0] is not w:
-        w, Li, B, y = reduced
-        k = work.kernel(y)
-    g = np.abs(k) ** 2  # minus the weight gradient
-    tol = 0.25 * B * max(gap_tol, 0.1 * (g.max() / B - 1.0))
-    keep = w != 0.0  # a mask, not np.union1d, which imports numpy.ma (~19 ms)
-    keep[_cell_entrants(work.nodes, w, g, B + tol)] = True  # the max-score node among them
-    S = np.flatnonzero(keep)
-    D = work.frame(Li, S, k[S])
-    H = 2.0 * (D.T @ D)
-    vS = w[S]  # the model's point on S, from which each pass starts
-    q = np.inf  # the model value of the last pass
     while True:
-        s = S.size
-        kkt = np.ones((s + 1, s + 1))
-        kkt[:s, :s] = H + np.eye(s) * (1e-12 * max(1.0, float(H.diagonal().max())))
-        kkt[s, s] = 0.0
-        rhs = np.append(g[S] - kkt[:s, :s] @ (vS - w[S]), 0.0)  # minus the model's gradient at vS
-        e = _model_step(kkt, rhs, vS) if s > 1 else None
-        if e is not None:
-            vS = vS + e
-        d = vS - w[S]
+        g = np.abs(k) ** 2  # minus the weight gradient
+        tol = 0.25 * B * max(gap_tol, 0.1 * (g.max() / B - 1.0))
+        pos = np.flatnonzero(w)
+        b = work.frame(Li, pos, k[pos]) @ w[pos]  # D w
+        broad = pos.size > work.groups
+        if broad:  # the max-score node of each contiguous support group
+            starts = np.arange(work.groups) * pos.size // work.groups
+            group = np.repeat(np.arange(work.groups), np.diff(starts, append=pos.size))
+            S = pos[np.lexsort((-g[pos], group))[starts]]
+            vS = w[S] / w[S].sum()  # the model's point on S, from which each pass starts
+        else:  # the support and its cell entrants
+            keep = w != 0.0  # a mask, not np.union1d, which imports numpy.ma (~19 ms)
+            keep[_cell_entrants(work.nodes, w, g, B + tol)] = True
+            S = np.flatnonzero(keep)
+            vS = w[S]
+        D = work.frame(Li, S, k[S])
+        H = 2.0 * (D.T @ D)
         v = np.zeros_like(w)
         v[S] = vS
-        z = D @ d
-        if not work.fold:
-            z = z[: z.size // 2] + 1j * z[z.size // 2 :]
-        mu = 2.0 * np.real(k * np.conj(work.kernel(Li.T.conj() @ z)))  # (H d)_j
-        Hd = kkt[:s, :s] @ d
-        mu += vS @ (g[S] - Hd) - g
-        mu[S] = np.inf
-        E = _cell_entrants(work.nodes, v, -mu, tol)
-        q, q_last = d @ (0.5 * Hd - g[S]), q
-        if E.size == 0 or q >= q_last:
-            break
-        pos = np.flatnonzero((w[S] != 0.0) | (vS != 0.0))
-        D = np.hstack((D[:, pos], work.frame(Li, E, k[E])))
-        X = 2.0 * (D.T @ D[:, pos.size :])  # the columns of H that enter
-        H = np.hstack((np.vstack((H.take(pos, 0).take(pos, 1), X[: pos.size].T)), X))
-        S = np.append(S[pos], E)
-        vS = np.append(vS[pos], np.zeros(E.size))
-    moved = d != 0.0
-    S, d = S[moved], d[moved]
-    if S.size == 0:
-        return None
-    for h in range(30):  # the model's point, then halved toward w
-        v = w[S] + 0.5**h * d
-        v[v <= _ZERO_WEIGHT] = 0.0
-        w_try = w.copy()
-        w_try[S] = v
-        w_try /= w_try.sum()
-        try:
-            trial = work.core_state(work.moment_matrix(w_try))
-        except np.linalg.LinAlgError:
-            continue
-        dB = float((v - w[S]) @ (B - np.real(np.conj(k[S]) * work.kernel(trial[2], S))))
-        if dB < 0.0:
-            return w_try, trial, B + dB
-    return None  # no trial descends
+        z = D @ vS - b
+        q, q_last = z @ z - g @ (v - w), np.inf  # the model's value at v; 0 at v = w
+        while True:
+            s = S.size
+            kkt = np.ones((s + 1, s + 1))
+            kkt[:s, :s] = H + np.eye(s) * (1e-12 * max(1.0, float(H.diagonal().max())))
+            kkt[s, s] = 0.0
+            rhs = np.append(g[S] - 2.0 * (D.T @ z), 0.0)  # minus the model's gradient at vS
+            e = _model_step(kkt, rhs, vS) if s > 1 else None
+            if e is not None:
+                De = D @ e
+                q += De @ De - rhs[:s] @ e  # the exact change, resolved far below B
+                vS = vS + e
+                z = z + De
+                v[S] = vS
+            zc = z if work.fold else z[: z.size // 2] + 1j * z[z.size // 2 :]
+            mu = 2.0 * np.real(k * np.conj(work.kernel(Li.T.conj() @ zc)))  # 2 D_j^T z
+            mu += g[S] @ vS - 2.0 * ((z + b) @ z) - g  # lam = v . (g - 2 D^T z) on S
+            mu[S] = np.inf
+            E = _cell_entrants(work.nodes, v, -mu, tol)
+            if E.size == 0 or q >= q_last:
+                break
+            q_last = q
+            pos = np.flatnonzero((w[S] != 0.0) | (vS != 0.0))
+            D = np.hstack((D[:, pos], work.frame(Li, E, k[E])))
+            X = 2.0 * (D.T @ D[:, pos.size :])  # the columns of H that enter
+            H = np.hstack((np.vstack((H.take(pos, 0).take(pos, 1), X[: pos.size].T)), X))
+            S = np.append(S[pos], E)
+            vS = np.append(vS[pos], np.zeros(E.size))
+        T = np.flatnonzero(v != w)  # the nodes the step changes
+        d = v[T] - w[T]
+        if T.size and (q < 0.0 or not broad):  # a broad seed's model must fall below w's
+            for h in range(30):  # the model's point, then halved toward w
+                vt = w[T] + 0.5**h * d
+                vt[vt <= _ZERO_WEIGHT] = 0.0
+                w_try = w.copy()
+                w_try[T] = vt
+                w_try /= w_try.sum()
+                try:
+                    trial = work.core_state(work.moment_matrix(w_try))
+                except np.linalg.LinAlgError:
+                    continue
+                kt = work.kernel(trial[2], T)
+                dB = float((vt - w[T]) @ (B - np.real(np.conj(k[T]) * kt)))
+                if dB < 0.0:
+                    return w_try, trial, B + dB
+        if not broad:
+            return None  # no trial descends
+        w, Li, B, y = _reduce_support(work, w, Li, B, y)
+        k = work.kernel(y)
 
 
 def solve_opm(
@@ -623,11 +660,12 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int, warmup:
     should its Cholesky factorization fail in floating point, the solve
     ends "numerical" with no certified iterate: B is NaN and the gap inf.
 
-    A reduction is not a step: it leaves y = M^{-1} c, and so B, as they
-    were up to rounding (measured up to 1.4e-12 relative), so it adds no
-    trace entry.  The objective trace holds the starting B and the B after
-    each accepted step, so it has iterations + 1 entries and is
-    nonincreasing up to that drift.
+    The fallback reduction inside a Newton step (`_reduce_support`) is not
+    a step: it leaves y = M^{-1} c, and so B, as they were up to rounding
+    (measured up to 1.4e-12 relative), so it adds no trace entry.  The
+    objective trace holds the starting B and the B after each accepted
+    step, so it has iterations + 1 entries and is nonincreasing up to that
+    drift, which arises only on a step that falls back.
 
     Returns (status, (gap, B, w) of the lowest-gap certified iterate, trace).
     """

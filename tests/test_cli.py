@@ -114,11 +114,25 @@ class TestOpmCommand:
         assert mu.weights.sum() == pytest.approx(1.0)
 
     def test_run_log_appends_across_runs(self, tmp_path):
+        """Each line carries the solve's iterations, as certificate.json and
+        convergence.csv count them."""
         out = tmp_path / "run"
         for n in ("2", "3"):
             assert run("opm", "--geometry", "circle", "--z0", "2,0", "--degrees", n, "--out", str(out)) == 0
+            cert = json.loads((out / "certificate.json").read_text())
+            line = (out / "run.log").read_text().splitlines()[-1]
+            assert f", iterations={cert['iterations']}, blas=" in line, line
         lines = (out / "run.log").read_text().splitlines()
         assert [line.split(":")[0] for line in lines] == ["opm degree=2", "opm degree=3"]
+        study = tmp_path / "study"
+        args = ["--geometry", "ellipse:2,1", "--z0", "3,0", "--degrees", "4..8:4", "--grid", "330"]
+        assert run("convergence", *args, "--out", str(study)) == 0
+        rows = read_csv(study / "convergence.csv")
+        col = rows[0].index("iterations")
+        lines = (study / "run.log").read_text().splitlines()
+        assert len(lines) == len(rows) - 1
+        for line, r in zip(lines, rows[1:]):
+            assert line.startswith(f"n={r[0]}: ") and f", iterations={r[col]}, blas=" in line, line
 
     def test_run_log_names_blas_pools_at_one_thread(self, tmp_path):
         out = tmp_path / "run"

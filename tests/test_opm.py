@@ -243,6 +243,30 @@ def test_whole_grid_newton_takes_few_steps():
     assert sol.iterations <= 3
 
 
+def test_benchmark_solves_call_no_caratheodory_reduction(monkeypatch):
+    """A Newton step on a broad support seeds its model with the support's
+    score maxima, so the seed-0 benchmark solves (the segment ops and the
+    ellipse sweep) reduce no support; an exactly broad optimum, which no
+    sparse seed ties (the turned circle's discretized Poisson measure),
+    still falls back on the reduction."""
+    calls = []
+    caratheodory = opm._caratheodory
+
+    def counting(C, W):
+        calls.append(W.size)
+        return caratheodory(C, W)
+
+    monkeypatch.setattr(opm, "_caratheodory", counting)
+    for z0, n in ((2.0, 15), (2.0, 30), (1j, 30)):
+        assert opm.solve_opm(SEGMENT_GRID, z0, n, gap_tol=1e-8).converged
+    rows = opm.convergence_study(geo.ellipse(2.0, 1.0), 3.0, list(range(4, 33, 4)), 660, gap_tol=1e-7)
+    assert all(r.status == "converged" for r in rows)
+    assert calls == []
+    rot = np.exp(1j * np.pi / 3)
+    assert opm.solve_opm(rot * CIRCLE_GRID, rot * 2.0, 3, gap_tol=1e-12).converged
+    assert len(calls) >= 1
+
+
 @pytest.mark.parametrize("z0, budget", [(2.0, 11), (1j, 12)])
 def test_max_iters_bounds_the_steps(z0, budget):
     """The budget is checked before every step: a solve that needs more steps
