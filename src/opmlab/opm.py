@@ -22,23 +22,19 @@ takes no warmup: it is certified as it is, and at high degree it already
 converges with no step.
 
 Each Newton step minimizes its quadratic model over the nonnegative weights
-of unit mass on every node, growing the model's node set from the small
-side (`_newton_step`), and is taken only on an exact decrease of B.  With
-L the Cholesky factor of M and Li = L^{-1} its inverse (which
-`_Work.core_state` returns, so that no triangular solve is needed),
+of unit mass on every node (`_newton_step`), and is taken only on an exact
+decrease of B.  With L the Cholesky factor of M and Li = L^{-1} its inverse
+(which `_Work.core_state` returns, so that no triangular solve is needed),
 y = M^{-1} c, k_i = u_i^H y and G the matrix with columns Li u_i k_i, the
-weight Hessian is 2 Re(G^H G) = 2 D^T D with D = [Re G; Im G].  A support
-larger than twice the rows of C = [D; 1^T] seeds the model with the
-max-score node of each of that many contiguous support groups; a smaller
-one seeds it with the support and its cell entrants.  Only when a broad
-seed's model does not fall below the iterate's value, or no halving of its
-step descends, does the step reduce the support first, without changing B:
-a weight change d with D d = 0 and sum(d) = 0 leaves y, B, every node score
-and the mass exactly as they were, and stepping along such directions to a
-weight boundary (a Caratheodory reduction) leaves at most rank(C) <= 2n + 3
-nodes; a c-optimal design has an optimum with at most 2n + 1 atoms.  That
-fallback covers exactly broad optima, such as the circle's discretized
-Poisson measure, which no sparse seed can tie.
+weight Hessian is 2 Re(G^H G) = 2 D^T D with D = [Re G; Im G].  With
+a = Li c stacked the same way, the scores are g = D^T a, ||a||^2 = B and
+D w = a, so the model -g . (v - w) + ||D (v - w)||^2 equals
+||D v - t||^2 - B / 4 with t = 3 a / 2: each Newton step is the point of
+conv{D_j} nearest t.  Wolfe's minimum-norm-point algorithm finds it on a
+corral of at most rank + 1 affinely independent points: nodes and, from a
+broad support, the iterate itself (D w = a).  A corral of nodes has the
+Caratheodory bound built in: at most 2n + 3 atoms, where a c-optimal design
+has an optimum with at most 2n + 1.  No step reduces a support at fixed B.
 
 Conjugate pairs are folded when z0 is real and conjugation maps the grid
 exactly onto itself (the circle, the ellipse and real-coefficient Laurent
@@ -47,10 +43,10 @@ convex in the weights and unchanged by mirroring them, so the mirror average
 of an optimum is optimal too: the solver works on the orbits {x, conj x},
 one weight per orbit, split equally between x and conj x on output.  The
 basis has real coefficients there, so c, y and M are real, and the Im G
-columns of x and conj x cancel: D = Re G has n + 1 rows, the reduction
-leaves at most n + 2 orbits, and a real c-optimal design needs at most
-n + 1 atoms (Elfving 1952).  Real nodes (the segment) are the case where
-every node is its own orbit: there U, M, L and G are float64 too.
+columns of x and conj x cancel: D = Re G has n + 1 rows, a corral holds at
+most n + 2 orbits, and a real c-optimal design needs at most n + 1 atoms
+(Elfving 1952).  Real nodes (the segment) are the case where every node is
+its own orbit: there U, M, L and G are float64 too.
 
 A purely imaginary z0 = i a is folded through the same path when the
 reflection x -> -conj(x) maps the grid exactly onto itself (the segment,
@@ -58,22 +54,20 @@ whose grid `measure.discretize_boundary` mirrors exactly as x[m-1-j] =
 -x[j]): multiplying the nodes and z0 by -i, which is exact in floating
 point, turns that reflection into conjugation and z0 into the real point a.
 B, the node scores and the certificate are unchanged by a rotation of the
-plane, since the polynomials of degree <= n are, and so are the Euclidean
-distances that pick the cell entrants; the orbits on the segment are
-{x, -x}.  Real nodes without that symmetry at a nonreal z0 are not folded:
-there only c, y, k and G are complex.  No flag selects any of this; `_Work`
-reads it off the grid and z0, once.
+plane, since the polynomials of degree <= n are; the orbits on the segment
+are {x, -x}.  Real nodes without that symmetry at a nonreal z0 are not
+folded: there only c, y, k and G are complex.  No flag selects any of this;
+`_Work` reads it off the grid and z0, once.
 
 Each step is accepted only on certified descent, so the objective is
-nonincreasing across iterations up to rounding: a fallback reduction is not
-a step, and in floating point it moves B (measured up to 1.4e-12 relative);
-no other step moves B off its certified value.  Each
-step returns the state (Li, B, y) that `_Work.core_state` computed for the
-weights it accepted, so no matrix is factored twice; `_iterate` certifies
-each iterate once, from that state, and the solution reports the weights,
-B and gap of the lowest-gap one as they were certified there.  A solve
-stalls when a step finds no descent, or when the best gap has not fallen
-for `_STALL_STEPS` steps (a gap_tol below the rounding of the certificate).
+nonincreasing across iterations up to rounding, and only an accepted step
+moves B.  Each step returns the state (Li, B, y) that `_Work.core_state`
+computed for the weights it accepted, so no matrix is factored twice;
+`_iterate` certifies each iterate once, from that state, and the solution
+reports the weights, B and gap of the lowest-gap one as they were certified
+there.  A solve stalls when a step finds no descent, or when the best gap
+has not fallen for `_STALL_STEPS` steps (a gap_tol below the rounding of
+the certificate).
 """
 
 from __future__ import annotations
@@ -91,7 +85,8 @@ from .measure import DiscreteMeasure
 _WARMUP_STEPS = 10
 _STALL_STEPS = 40  # a solve whose best gap has not fallen for this many steps stalls
 _ZERO_WEIGHT = 1e-15  # a weight at or below this, on unit mass, counts as zero
-_RELEASE_TOL = 1e-9  # a fixed node whose multiplier is below -this * max score is freed
+_PRICE_FLOOR = 1e-13  # a node must price below -this * B to enter a Newton model
+_DEPENDENT = 1e-10  # a seed residual at most this times the largest seed direction is rounding
 _K_MOMENTS = 8  # moments 1..8 enter a convergence row's moment discrepancy
 
 
@@ -191,11 +186,6 @@ class _Work:
         sub._set_basis(self.U[:, : n + 1], self.c[: n + 1])
         return sub
 
-    @property
-    def groups(self) -> int:
-        """Twice the rows of C = [D; 1^T]: n + 2 when folded, else 2n + 3."""
-        return 2 * (self.n + 2 if self.fold else 2 * self.n + 3)
-
     def unfold(self, w: np.ndarray) -> np.ndarray:
         """Node weights on the original grid: each orbit's mass split equally."""
         out = np.zeros(self.m)
@@ -223,18 +213,25 @@ class _Work:
             return t[:, 0] + 1j * t[:, 1]
         return self.Uc[rows] @ y
 
-    def frame(self, Li: np.ndarray, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Real matrix D, one column per node of `rows`, with D d = 0 leaving y fixed.
+    def split(self, z: np.ndarray) -> np.ndarray:
+        """The real vector [Re z; Im z], or Re z alone in a folded solve: the rows of D."""
+        return z.real if self.fold else np.concatenate((z.real, z.imag))
 
-        G = Li U_rows^T diag(k) has the columns Li u_i k_i; the weight
-        Hessian is 2 D^T D and the reduction keeps C = [D; 1^T].  D is
-        [Re G; Im G], or Re G alone in a folded solve, where the Im G of x
-        and conj x cancel (on real nodes at real z0, G is real).
+    def frame(self, Li: np.ndarray, rows, k: np.ndarray) -> np.ndarray:
+        """Real matrix D, one column per node of `rows`: the weight Hessian is 2 D^T D.
+
+        G = Li U_rows^T diag(k) has the columns Li u_i k_i, and D is `split`(G):
+        in a folded solve the Im G of x and conj x cancel.
         """
         G = (Li @ self.U[rows].T) * k
         if self.fold:
             return np.ascontiguousarray(G.real)
         return np.vstack((G.real, G.imag))
+
+    def price(self, Li: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """D_j^T x for every node j: Re(k_j conj(u_j^H Li^H x)), one product with U."""
+        z = x if self.fold else x[: x.size // 2] + 1j * x[x.size // 2 :]
+        return np.real(k * np.conj(self.kernel(Li.conj().T @ z)))
 
     def core_state(self, M: np.ndarray):
         """Inverse Cholesky factor, objective, and kernel coefficients y = M^{-1} c.
@@ -274,205 +271,129 @@ def _try_mult(work: _Work, w: np.ndarray, B: float, scores: np.ndarray):
     return None
 
 
-def _caratheodory(C: np.ndarray, W: np.ndarray):
-    """Zero entries of W >= 0 along the null space of C; C @ W stays fixed.
+def _nearest_point(columns, price, t, w, g, center, level: float, tol: float, floor: float):
+    """Wolfe's nearest point to t of the convex hull of the columns D_j.
 
-    The null space is spanned by the right singular vectors of C past its
-    rank, the number of singular values above 1e-12 of the largest.
-    Each vector moves W to its first boundary, and the zeroed entry is then
-    eliminated from the remaining vectors with the one that has the largest
-    entry there, so every multiplier is at most 1 in modulus.  The
-    elimination runs in place on the vectors not yet used: the pivot vector
-    becomes exactly zero (its multiplier is x / x = 1) and is passed over
-    when its turn comes, so no vector is deleted or copied.
+    `columns(idx)` gives D_idx and `price(x)` the products D_j^T x of every
+    node, so D is formed only on the corral: at most r + 1 affinely
+    independent points (r = t.size) whose weights lam > 0 give x + t
+    (Wolfe, Math. Programming 11, 1976).  It starts from the support of w at
+    lam = w_S when that has at most r nodes, else from the iterate itself
+    (the point D w = `center`) at lam = 1 and the max-score node (by g) of
+    each of r contiguous support groups at lam = 0, less dependent columns.
+
+    Its directions from its first point are an orthonormal Q = Delta T, so
+    the minimizer of ||x|| over its affine hull has its weights read off T.
+    When they are positive, x moves there (a major cycle) and the node with
+    the lowest multiplier mu_j = 2 (D_j^T x - (x + t)^T x) enters
+    (`_enter`); otherwise x moves toward it up to the first weight boundary,
+    and that point leaves (`_leave`).  The loop stops when no node prices
+    below -`floor`, or below -`tol` once ||x||^2 < `level`.  Rounding could
+    make it cycle, so it runs at most 4 (r + 1) + 4 |seed| cycles.  Returns
+    the weights on the nodes, the iterate's share spread as w.
     """
-    _, sv, V = np.linalg.svd(C)
-    V = V[np.count_nonzero(sv > 1e-12 * sv[0]) :]  # one null vector per row
-    W = W.copy()
-    ratios = np.empty(W.size)
-    c = 0  # the rows before c are used up
-    while c < V.shape[0]:
-        v = V[c]
-        neg = v < 0.0
-        if not neg.any():  # sum(v) = 0 (the mass row): an eliminated vector, or rounding
-            c += 1
-            continue
-        ratios.fill(-np.inf)
-        np.divide(W, v, out=ratios, where=neg)  # minus the step to each boundary
-        p = int(ratios.argmax())
-        W -= ratios[p] * v
-        np.maximum(W, 0.0, out=W)
-        W[p] = 0.0
-        col = V[c:, p]
-        j = c + int(np.abs(col).argmax())
-        V[c:] -= (col / V[j, p])[:, None] * V[j]  # row j becomes exactly zero
-        col[:] = 0.0
-    return W
-
-
-def _reduce_support(work: _Work, w: np.ndarray, Li, B: float, y):
-    """Caratheodory reduction of a support larger than twice the rows of C.
-
-    Moves weight along the null space of C = [D; 1^T], with D = `_Work.frame`
-    of the columns Li u_i k_i / sqrt(B) and Li = L^{-1} the inverse Cholesky
-    factor of M (see the module docstring): B, y and the mass stay fixed, and
-    at most rank(C) <= 2n + 3 nodes are left.  In a folded solve (real nodes
-    at real z0 included) D = Re G, C has n + 2 rows and at most n + 2 orbits
-    are left.
-    The 1/sqrt(B) scaling keeps the mass row on the scale of the others,
-    since B reaches 1e33.  The support is merged in twice as many contiguous
-    groups as C has rows (`_Work.groups`), each moving by a common factor
-    (recombination), so one small SVD removes about half of them.
-    `_newton_step` calls this only as its fallback, when a model seeded on
-    a broad support finds no descent; the atoms left then seed its rerun.
-
-    Returns (w, Li, B, y) at the reduced weights, B recomputed: rounding
-    moves it (measured up to 1.4e-12 relative).  A support of at most twice
-    the rows of C is returned as it is.
-    """
-    pos = np.flatnonzero(w)
-    groups = work.groups
-    if pos.size <= groups:
-        return w, Li, B, y
-    C = np.vstack((work.frame(Li, pos, work.kernel(y, pos) / np.sqrt(B)), np.ones(pos.size)))
-    wp = w[pos]
-    live = np.arange(pos.size)
-    while live.size > groups:
-        starts = np.arange(groups) * live.size // groups
-        Wg = np.add.reduceat(wp[live], starts)
-        Cw = C[:, live]
-        Cw *= wp[live]
-        Cg = np.add.reduceat(Cw, starts, axis=1) / Wg
-        del Cw
-        scale = np.repeat(_caratheodory(Cg, Wg) / Wg, np.diff(starts, append=live.size))
-        if np.all(scale > 0.0):
-            break  # a null vector always zeroes a group, so only rounding gets here
-        wp[live] *= scale
-        live = live[scale > 0.0]
-    wp[live] = _caratheodory(C[:, live], wp[live])
-    wp[wp < _ZERO_WEIGHT * wp.sum()] = 0.0
-    w_red = np.zeros_like(w)
-    w_red[pos] = wp / wp.sum()
-    return w_red, *work.core_state(work.moment_matrix(w_red))
-
-
-def _cell_entrants(nodes: np.ndarray, w: np.ndarray, scores: np.ndarray, threshold: float):
-    """The max-score node of each atom's cell, among nodes outside the support.
-
-    Cells split the grid by nearest atom (Euclidean distance, so no grid
-    order is assumed).  Only nodes whose score exceeds `threshold` qualify.
-    """
-    atoms = np.flatnonzero(w)
-    cand = np.flatnonzero((w == 0.0) & (scores > threshold))
-    if cand.size == 0:
-        return cand
-    cell = np.argmin(np.abs(nodes[cand, None] - nodes[atoms]), axis=1)
-    order = np.lexsort((-scores[cand], cell))
-    cell = cell[order]
-    return cand[order][np.r_[True, cell[1:] != cell[:-1]]]
-
-
-def _model_step(kkt: np.ndarray, rhs: np.ndarray, w0: np.ndarray):
-    """Minimize the quadratic model over {w0 + d >= 0, sum(d) = 0} by a primal active set.
-
-    `kkt` and `rhs` are the bordered system [[H, 1], [1^T, 0]] [d; lam] =
-    [g; 0] of the model -g.d + d^T H d / 2 on all nodes.  Each pass solves it
-    on the free nodes and moves from the current d toward that solution up
-    to the first weight boundary; the node found there is fixed at zero
-    (d_j = -w0_j, its pull kkt[:, j] w0_j moved to the right-hand side).
-    Nodes at zero weight (at most `_ZERO_WEIGHT`) whose direction is
-    negative at the start leave together before any move, as a boundary at
-    step length 0, fixed the same way.
-    When the solution on the free nodes is feasible, d moves there and the
-    fixed nodes' multipliers mu = H d + lam - g are read off: mu_j < 0 means
-    that weight on node j lowers the model, so the most negative one (below
-    -`_RELEASE_TOL` max|g|) is freed, its pull taken back, and the passes go
-    on from d.  So a zero-weight entrant that its first direction fixes
-    comes back when the nodes fixed after it turn that direction round.
-    The model decreases along every move, and the loop ends when no
-    multiplier is negative: d is then the model's minimizer over the
-    nonnegative weights.  A strictly convex model admits no cycle, but
-    rounding could, so the passes are bounded by 4s; at the bound the
-    current feasible d is returned.  Returns d, or None when the solve yields
-    no usable direction.
-    """
-    s = w0.size
-    free = np.ones(s, dtype=bool)
-    b = rhs.copy()
-    d = np.zeros(s)
-    lim = np.empty(s)
-    moved = False
-    for _ in range(4 * s):
-        rows = np.append(np.flatnonzero(free), s)
-        A = kkt.take(rows, 0).take(rows, 1)
-        try:
-            sol = np.linalg.solve(A, b[rows])
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(A, b[rows], rcond=None)
-        if not np.isfinite(sol).all():
-            return None
-        target = -w0
-        target[free] = sol[:-1]
-        step = target - d  # zero at the fixed nodes
-        neg = step < 0.0
-        if not moved:
-            out = neg & (w0 <= _ZERO_WEIGHT)
-            if out.any():
-                free &= ~out
-                d[out] = -w0[out]
-                b += kkt[:, np.flatnonzero(out)] @ w0[out]
-                continue
-        lim.fill(np.inf)
-        np.divide(w0 + d, -step, out=lim, where=neg)
-        j = int(lim.argmin())
-        if lim[j] >= 1.0:
-            d = target
-            mu = kkt[:s, :s] @ d + sol[-1] - rhs[:s]  # the fixed nodes' multipliers
-            mu[free] = np.inf
+    m, r = w.size, t.size
+    S = np.flatnonzero(w)
+    if S.size <= r:
+        C, lam = columns(S), w[S]
+    else:  # the iterate, then the max-score node of each contiguous support group
+        starts = np.arange(r) * S.size // r
+        group = np.repeat(np.arange(r), np.diff(starts, append=S.size))
+        S = S[np.lexsort((-g[S], group))[starts]]
+        C = np.column_stack((center, columns(S)))
+        S, lam = np.append(m, S), np.append(1.0, np.zeros(r))
+    E = C[:, 1:] - C[:, :1]  # the seed's directions from its first node
+    Q, R = np.linalg.qr(E)
+    d = np.abs(R.diagonal())
+    if d.size == 0 or d.min() > _DEPENDENT * d.max():
+        T = np.linalg.inv(R)
+    else:  # pivoted: the largest residual enters first, down to rounding
+        Q, T = np.empty((r, 0)), np.empty((0, 0))
+        norms = np.einsum("ij,ij->j", E, E)
+        least = _DEPENDENT**2 * norms.max()
+        order = [0]
+        while norms.max() > least:
+            i = int(norms.argmax())
+            Q, T = _enter(Q, T, C[:, i + 1] - C[:, 0])
+            order.append(i + 1)
+            E -= np.outer(Q[:, -1], Q[:, -1] @ E)
+            norms = np.einsum("ij,ij->j", E, E)
+            norms[np.array(order[1:]) - 1] = -1.0
+        S, C, lam = S[order], C[:, order], lam[order]
+    lam = lam / lam.sum()
+    for _ in range(4 * (r + 1) + 4 * S.size):
+        beta = -T @ (Q.T @ (C[:, 0] - t))
+        alpha = np.append(1.0 - beta.sum(), beta)  # the affine minimizer's weights
+        if alpha.min() > 0.0:
+            lam = alpha
+            x = C @ lam - t
+            mu = price(x) - (x + t) @ x  # half the multipliers
             j = int(mu.argmin())
-            if mu[j] >= -_RELEASE_TOL * np.abs(rhs[:s]).max():
+            if mu[j] >= -0.5 * floor or (mu[j] >= -0.5 * tol and x @ x < level):
                 break
-            free[j] = True  # its weight lowers the model: let it back in
-            b -= kkt[:, j] * w0[j]
+            col = columns([j])[:, 0]
+            grown = _enter(Q, T, col - C[:, 0], x, mu[j])
+            if grown is None:
+                break
+            Q, T = grown
+            S, C, lam = np.append(S, j), np.column_stack((C, col)), np.append(lam, 0.0)
         else:
-            d += lim[j] * step
-            d[j] = -w0[j]
-            free[j] = False
-            b += kkt[:, j] * w0[j]
-        moved = True
-    return d if np.abs(d).max() > 0.0 else None
+            den = lam - alpha  # positive where alpha <= 0 < lam; zero only at lam = alpha = 0
+            ratio = np.where(alpha > 0.0, np.inf, lam / np.maximum(den, np.finfo(float).tiny))
+            p = int(ratio.argmin())
+            lam = np.maximum(lam + ratio[p] * (alpha - lam), 0.0)
+            Q, T = _leave(Q, T, T.sum(0) if p == 0 else T[p - 1], max(p - 1, 0))
+            keep = np.arange(S.size) != p
+            S, C, lam = S[keep], C[:, keep], lam[keep]
+    v = np.zeros(m + 1)
+    v[S] = lam
+    return v[:m] + v[m] * w
+
+
+def _enter(Q: np.ndarray, T: np.ndarray, delta: np.ndarray, x=None, price: float = 0.0):
+    """Q and T grown by the direction delta, or None when its residual e does not carry `price`.
+
+    At the affine minimizer x, orthogonal to Q, a node's price is e . x; an
+    entrant with e . x above half its price lies in the span of Q up to rounding.
+    """
+    h = Q.T @ delta
+    e = delta - Q @ h
+    h2 = Q.T @ e  # a second Gram-Schmidt pass keeps Q orthonormal
+    e -= Q @ h2
+    if x is not None and not e @ x <= 0.5 * price:
+        return None
+    rho = np.sqrt(e @ e)
+    col = np.append(-(T @ (h + h2)), 1.0) / rho  # the new direction's coefficients
+    T = np.column_stack((np.vstack((T, np.zeros(h.size))), col))
+    return np.column_stack((Q, e / rho)), T
+
+
+def _leave(Q: np.ndarray, T: np.ndarray, tau: np.ndarray, i: int):
+    """Q and T less the direction whose coefficients are tau, and T less row i.
+
+    The Householder reflection v turns tau into a multiple of the last unit
+    vector, so every column of Q v but the last is free of that direction.
+    """
+    v = tau.copy()
+    v[-1] += np.copysign(np.sqrt(tau @ tau), tau[-1])
+    v *= np.sqrt(2.0 / (v @ v))
+    Q = Q[:, :-1] - np.outer(Q @ v, v[:-1])
+    return Q, np.delete(T[:, :-1] - np.outer(T @ v, v[:-1]), i, 0)
 
 
 def _newton_step(work: _Work, w, Li, B, y, k, gap_tol: float):
     """One Newton step whose quadratic model runs over the whole grid.
 
     The model -g . (v - w) + ||D (v - w)||^2 in the new weights v (g = |k|^2,
-    D = `_Work.frame`, so its Hessian is H = 2 D^T D; orbit masses when
-    folded) is minimized over the nonnegative weights of unit mass by column
-    generation, as Lawson and Hanson's NNLS and Wolfe's minimum-norm point
-    grow their sets.  v is zero off the model's set S, so the nodes of w
-    outside S go to zero.  With b = D w, formed once from the support, and
-    z = D_S v_S - b, the model's gradient on S is 2 D_S^T z - g_S.
-
-    A support larger than `_Work.groups` (twice the rows of C, the bound of
-    `_reduce_support`) seeds S with the max-score node of each of that many
-    contiguous support groups, and v_S = w_S renormalized.  A smaller one
-    seeds S with the support plus one entrant per atom cell
-    (`_cell_entrants`), and v_S = w_S.  Each pass runs `_model_step` on S
-    from the last pass's v_S, with H_S grown by the columns that enter, and
-    prices every node j by its multiplier mu_j = 2 D_j^T z + lam - g_j:
-    D_j^T z is Re(k_j u_j^T Li^T conj(z)), one product with U, so D is
-    never formed for all nodes, and lam = v . (g - 2 D^T z) on S by
-    complementarity.  The cell entrants (around the atoms of v) of the nodes
-    priced below -tol join S, and nodes at zero in both w and v leave it.
-    The passes end when none is left to enter, or when a pass does not
-    lower the model (rounding could cycle).  The model's value is summed
-    from the exact change of each pass, which resolves changes far below B.
-    tol = B max(gap_tol, gap / 10) / 4, gap that of w: far from the optimum
-    the model is solved only as far as the step can use (an inexact Newton
-    step).  S may exceed the rank of [D_S; 1^T]; the 1e-12 ridge keeps the
-    KKT solve defined, and the step is safe because it is judged by its
-    exact change of B.
+    D = `_Work.frame`; orbit masses when folded) is minimized over the
+    nonnegative weights of unit mass.  With a = `_Work.split`(Li c),
+    g = D^T a, ||a||^2 = B and D w = Li U^T (w k) = Li M y = a, so the
+    model is ||D v - t||^2 - B / 4 with t = 3 a / 2: `_nearest_point` finds
+    its minimizer, pricing every node by one product with U (`_Work.price`).
+    Far from the optimum it is solved only as far as the step can use (an
+    inexact Newton step): to tol = B max(gap_tol, gap / 10) / 4, gap that of
+    w, once it lies below its value at w, and in any case to the rounding
+    of the prices, -`_PRICE_FLOOR` B.
 
     The model's point is tried first, then halved toward w, which stays
     feasible by convexity (close to K the full step can ascend, as on the
@@ -480,84 +401,34 @@ def _newton_step(work: _Work, w, Li, B, y, k, gap_tol: float):
     by the exact difference B(w') - B(w) = sum_i delta_i (B - Re(conj(k_i)
     k'_i)) over the nodes the step changes, k' the kernel coefficients at
     w'; it does not cancel, so descent far below B's rounding is resolved.
-    From a broad seed the model must also fall below its value at w (zero).
-    When it does not, or no trial descends, as at an exactly broad optimum
-    (the circle's discretized Poisson measure) that no sparse S can tie,
-    the step falls back on `_reduce_support` and reruns the same passes from
-    the reduced support, which is small.  Returns (w', (Li, B, y) as
-    `_Work.core_state` computed it at w', B + dB), or None when the model
-    gives no direction or no trial descends from a small support.
+    Returns (w', (Li, B, y) as `_Work.core_state` computed it at w',
+    B + dB), or None when no trial descends.
     """
-    while True:
-        g = np.abs(k) ** 2  # minus the weight gradient
-        tol = 0.25 * B * max(gap_tol, 0.1 * (g.max() / B - 1.0))
-        pos = np.flatnonzero(w)
-        b = work.frame(Li, pos, k[pos]) @ w[pos]  # D w
-        broad = pos.size > work.groups
-        if broad:  # the max-score node of each contiguous support group
-            starts = np.arange(work.groups) * pos.size // work.groups
-            group = np.repeat(np.arange(work.groups), np.diff(starts, append=pos.size))
-            S = pos[np.lexsort((-g[pos], group))[starts]]
-            vS = w[S] / w[S].sum()  # the model's point on S, from which each pass starts
-        else:  # the support and its cell entrants
-            keep = w != 0.0  # a mask, not np.union1d, which imports numpy.ma (~19 ms)
-            keep[_cell_entrants(work.nodes, w, g, B + tol)] = True
-            S = np.flatnonzero(keep)
-            vS = w[S]
-        D = work.frame(Li, S, k[S])
-        H = 2.0 * (D.T @ D)
-        v = np.zeros_like(w)
-        v[S] = vS
-        z = D @ vS - b
-        q, q_last = z @ z - g @ (v - w), np.inf  # the model's value at v; 0 at v = w
-        while True:
-            s = S.size
-            kkt = np.ones((s + 1, s + 1))
-            kkt[:s, :s] = H + np.eye(s) * (1e-12 * max(1.0, float(H.diagonal().max())))
-            kkt[s, s] = 0.0
-            rhs = np.append(g[S] - 2.0 * (D.T @ z), 0.0)  # minus the model's gradient at vS
-            e = _model_step(kkt, rhs, vS) if s > 1 else None
-            if e is not None:
-                De = D @ e
-                q += De @ De - rhs[:s] @ e  # the exact change, resolved far below B
-                vS = vS + e
-                z = z + De
-                v[S] = vS
-            zc = z if work.fold else z[: z.size // 2] + 1j * z[z.size // 2 :]
-            mu = 2.0 * np.real(k * np.conj(work.kernel(Li.T.conj() @ zc)))  # 2 D_j^T z
-            mu += g[S] @ vS - 2.0 * ((z + b) @ z) - g  # lam = v . (g - 2 D^T z) on S
-            mu[S] = np.inf
-            E = _cell_entrants(work.nodes, v, -mu, tol)
-            if E.size == 0 or q >= q_last:
-                break
-            q_last = q
-            pos = np.flatnonzero((w[S] != 0.0) | (vS != 0.0))
-            D = np.hstack((D[:, pos], work.frame(Li, E, k[E])))
-            X = 2.0 * (D.T @ D[:, pos.size :])  # the columns of H that enter
-            H = np.hstack((np.vstack((H.take(pos, 0).take(pos, 1), X[: pos.size].T)), X))
-            S = np.append(S[pos], E)
-            vS = np.append(vS[pos], np.zeros(E.size))
-        T = np.flatnonzero(v != w)  # the nodes the step changes
-        d = v[T] - w[T]
-        if T.size and (q < 0.0 or not broad):  # a broad seed's model must fall below w's
-            for h in range(30):  # the model's point, then halved toward w
-                vt = w[T] + 0.5**h * d
-                vt[vt <= _ZERO_WEIGHT] = 0.0
-                w_try = w.copy()
-                w_try[T] = vt
-                w_try /= w_try.sum()
-                try:
-                    trial = work.core_state(work.moment_matrix(w_try))
-                except np.linalg.LinAlgError:
-                    continue
-                kt = work.kernel(trial[2], T)
-                dB = float((vt - w[T]) @ (B - np.real(np.conj(k[T]) * kt)))
-                if dB < 0.0:
-                    return w_try, trial, B + dB
-        if not broad:
-            return None  # no trial descends
-        w, Li, B, y = _reduce_support(work, w, Li, B, y)
-        k = work.kernel(y)
+    g = np.abs(k) ** 2  # minus the weight gradient
+    tol = 0.25 * B * max(gap_tol, 0.1 * (g.max() / B - 1.0))
+    a = work.split(Li @ work.c)
+    v = _nearest_point(
+        lambda idx: work.frame(Li, idx, k[idx]),
+        lambda x: work.price(Li, k, x),
+        1.5 * a, w, g, a, 0.25 * B, tol, _PRICE_FLOOR * B,
+    )
+    T = np.flatnonzero(v != w)  # the nodes the step changes
+    d = v[T] - w[T]
+    for h in range(30 if T.size else 0):  # the model's point, then halved toward w
+        vt = w[T] + 0.5**h * d
+        vt[vt <= _ZERO_WEIGHT] = 0.0
+        w_try = w.copy()
+        w_try[T] = vt
+        w_try /= w_try.sum()
+        try:
+            trial = work.core_state(work.moment_matrix(w_try))
+        except np.linalg.LinAlgError:
+            continue
+        kt = work.kernel(trial[2], T)
+        dB = float((vt - w[T]) @ (B - np.real(np.conj(k[T]) * kt)))
+        if dB < 0.0:
+            return w_try, trial, B + dB
+    return None
 
 
 def solve_opm(
@@ -580,10 +451,11 @@ def solve_opm(
     with no step.  A folded solve starts from each orbit's total of `start`.
 
     Each iteration is one step, a warmup step or one Newton step over the
-    whole grid, and a solve takes at most `max_iters` of them.  Returns a
+    whole grid (the point of conv{D_j} nearest a target, see the module
+    docstring), and a solve takes at most `max_iters` of them.  Returns a
     converged solution, or the best iterate flagged via `status` ("stalled":
-    no descent, or no fall of the best gap in 40 steps).  The reported objective,
-    gap and weights are those of the best certified iterate of `_iterate`,
+    no descent, or no fall of the best gap in 40 steps).  The reported
+    objective, gap and weights are those of the best certified iterate of `_iterate`,
     so `status` is "converged" exactly when the reported gap is at most
     `gap_tol`.  A folded solve (real z0 on a grid that conjugation maps
     onto itself, or z0 = i a on one that x -> -conj(x) maps onto itself,
@@ -646,8 +518,9 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int, warmup:
     the discretized balayage); it ends at the first rejected step or after
     `_WARMUP_STEPS` steps.  A given start skips it: from the balayage,
     reweighting only spends steps that Newton would spend better.  Every
-    later iteration is one `_newton_step`, whose model runs over the whole
-    grid.  The budget is checked before every step, so a solve takes at
+    later iteration is one `_newton_step`, whose model (the point of a
+    convex hull nearest a target, found by Wolfe's algorithm) runs over the
+    whole grid.  The budget is checked before every step, so a solve takes at
     most `max_iters` steps.  It ends "stalled" when a Newton step finds no
     descent (the next step would repeat it), or when the best certified gap
     has not fallen for `_STALL_STEPS` steps: below the rounding of the
@@ -660,12 +533,9 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int, warmup:
     should its Cholesky factorization fail in floating point, the solve
     ends "numerical" with no certified iterate: B is NaN and the gap inf.
 
-    The fallback reduction inside a Newton step (`_reduce_support`) is not
-    a step: it leaves y = M^{-1} c, and so B, as they were up to rounding
-    (measured up to 1.4e-12 relative), so it adds no trace entry.  The
-    objective trace holds the starting B and the B after each accepted
-    step, so it has iterations + 1 entries and is nonincreasing up to that
-    drift, which arises only on a step that falls back.
+    The objective trace holds the starting B and the B after each accepted
+    step, so it has iterations + 1 entries and is nonincreasing up to the
+    rounding of B itself: each step is taken on an exact decrease of B.
 
     Returns (status, (gap, B, w) of the lowest-gap certified iterate, trace).
     """

@@ -1,11 +1,14 @@
-"""Exact minimizer of a Newton step's quadratic model, by enumerating active sets.
+"""Exact minimizer of a Newton step's model, by enumerating supports.
 
-The model is -g.d + d^T H d / 2 over {w0 + d >= 0, sum(d) = 0}, given as the
-bordered system [[H, 1], [1^T, 0]] [d; lam] = [g; 0] that `opm._model_step`
-takes.  For every set F of free nodes the others are held at zero weight
-(d_j = -w0_j) and the equality-constrained minimizer on F is solved
-directly; the feasible one with the lowest model value is the minimizer of
-a strictly convex model.  This costs 2^s solves, so it serves small s only.
+The model is ||D v - t||^2 over the weights v >= 0 of unit sum: the point
+of conv{D_j} nearest t, which `opm._nearest_point` finds.  For every set F
+of nodes the affine least squares min ||D_F v_F - t|| subject to
+sum(v_F) = 1 is solved directly (by lstsq on the differences to its
+first node, so a rank-deficient D_F is fine); the feasible one with the
+lowest value is the minimizer, since the minimizer is the affine one of
+its own affinely independent support.  v
+itself need not be unique when rank(D) < s, so callers compare D v and the
+value.  This costs 2^s solves, so it serves small s only.
 """
 
 import itertools
@@ -13,26 +16,23 @@ import itertools
 import numpy as np
 
 
-def model_value(kkt: np.ndarray, rhs: np.ndarray, d: np.ndarray) -> float:
-    s = d.size
-    return float(-rhs[:s] @ d + 0.5 * d @ kkt[:s, :s] @ d)
+def model_value(D: np.ndarray, t: np.ndarray, v: np.ndarray) -> float:
+    r = D @ v - t
+    return float(r @ r)
 
 
-def exact_model_minimizer(kkt: np.ndarray, rhs: np.ndarray, w0: np.ndarray) -> np.ndarray:
-    s = w0.size
-    H, g = kkt[:s, :s], rhs[:s]
+def exact_model_minimizer(D: np.ndarray, t: np.ndarray) -> np.ndarray:
+    s = D.shape[1]
     best, best_value = None, np.inf
-    for r in range(1, s + 1):
-        for F in map(list, itertools.combinations(range(s), r)):
-            fixed = np.setdiff1d(np.arange(s), F)
-            A = np.zeros((r + 1, r + 1))
-            A[:r, :r] = H[np.ix_(F, F)]
-            A[:r, r] = A[r, :r] = 1.0
-            b = np.append(g[F] + H[np.ix_(F, fixed)] @ w0[fixed], w0[fixed].sum())
-            d = -w0.copy()
-            d[F] = np.linalg.solve(A, b)[:r]
-            if np.all(w0 + d >= -1e-14):
-                value = model_value(kkt, rhs, d)
+    for size in range(1, s + 1):
+        for F in map(list, itertools.combinations(range(s), size)):
+            A = D[:, F[1:]] - D[:, F[:1]]  # directions of the affine hull, from its first node
+            beta = np.linalg.lstsq(A, t - D[:, F[0]], rcond=None)[0]
+            vF = np.append(1.0 - beta.sum(), beta)
+            if np.all(vF >= -1e-14):
+                v = np.zeros(s)
+                v[F] = np.maximum(vF, 0.0)
+                value = model_value(D, t, v)
                 if value < best_value:
-                    best, best_value = d, value
+                    best, best_value = v, value
     return best
