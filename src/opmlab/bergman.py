@@ -40,29 +40,10 @@ class _Factor:
     H: np.ndarray  # (n+1, n) Hessenberg: z q_k = sum_{j<=k+1} H[j,k] q_j
     q0: float  # the constant q_0 = 1/sqrt(total weight)
     degree: int
-    Q: np.ndarray  # (n+1, m) node rows Q[k, i] = sqrt(w_i) q_k(x_i); mirrored: Im x >= 0 only
+    Q: np.ndarray  # (n+1, m) node rows Q[k, i] = sqrt(w_i) q_k(x_i)
 
 
-def _mirror(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
-    """Index of each node's conjugate, or None unless conjugation maps the
-    weighted node set exactly onto itself (nodes and weights bitwise)."""
-    if not np.any(nodes.imag):
-        return np.arange(nodes.size)  # real nodes are their own mirrors
-    order = np.lexsort((nodes.imag, nodes.real))
-    flip = np.lexsort((-nodes.imag, nodes.real))  # sorts conj(nodes) in the same order
-    if not (
-        np.array_equal(nodes[order], nodes[flip].conj())
-        and np.array_equal(weights[order], weights[flip])
-    ):
-        return None
-    mirror = np.empty_like(order)
-    mirror[order] = flip
-    return mirror
-
-
-def factor_nodes(
-    nodes: np.ndarray, weights: np.ndarray, n: int, mirror: np.ndarray | None = None
-) -> _Factor:
+def factor_nodes(nodes: np.ndarray, weights: np.ndarray, n: int, real: bool = False) -> _Factor:
     """Orthonormalize 1, z, ..., z^n on nodes carrying positive weights.
 
     The one place where the basis is built and its rank checked.  Classical
@@ -73,41 +54,32 @@ def factor_nodes(
     reads only Q[:k+1], so Q[:k+1] and H[:k+1, :k] are bitwise those of a
     factor of degree k (`opm.convergence_study` factors its grid once so).
 
-    `mirror` (from `_mirror`) pairs each node with its conjugate in a
-    weighted node set that conjugation maps exactly onto itself.  Its
-    orthonormal polynomials have real coefficients, so only the nodes with
-    Im x >= 0 are orthogonalized, a mirror pair {x, conj x} carrying its
-    joint weight, and only the real part of each projection is kept: H is
-    real, and Q keeps those nodes' columns (conj x has the conjugate values).
-    Real nodes (the segment) are their own mirrors without being told:
-    Q and H are then float64, built in real arithmetic.  Evaluation through
-    `_features` stays complex, since evaluation points need not be real.
+    With `real`, the nodes are the representatives of the orbits {x, conj x}
+    of a node set that conjugation maps onto itself, each carrying its
+    orbit's mass (the solver's fold, see `opm._Work`).  The orthonormal
+    polynomials then have real coefficients, so only the real part of each
+    projection is kept and H is real.  Real nodes (the segment) are their
+    own orbits without being told: Q and H are then float64, built in real
+    arithmetic.  Evaluation through `_features` stays complex, since
+    evaluation points need not be real.
     """
     if nodes.size < n + 1:
         raise RankDeficient(
             f"degree {n} needs at least {n + 1} support points, have {nodes.size}"
         )
-    if mirror is None and not np.any(nodes.imag):
-        mirror = np.arange(nodes.size)
-    x, orbit = nodes, weights
-    if mirror is not None:
-        rep = np.flatnonzero(nodes.imag >= 0.0)
-        x = nodes[rep]
-        pairs = np.where(x.imag > 0.0, 2.0, 1.0)
-        orbit = weights[rep] * pairs
-        if not np.any(x.imag):
-            x = x.real
-    root_w = np.sqrt(orbit)
+    x = nodes if np.any(nodes.imag) else nodes.real
+    real = real or np.isrealobj(x)
+    root_w = np.sqrt(weights)
 
     def project(v, Qk):
-        """Qk^H v, conjugating v rather than Qk; only its real part for a mirrored set."""
+        """Qk^H v, conjugating v rather than Qk; only its real part for a real basis."""
         h = (Qk @ v.conj()).conj()
-        return h if mirror is None else h.real
+        return h.real if real else h
 
     q0 = 1.0 / float(np.linalg.norm(root_w))
     Q = np.empty((n + 1, x.size), dtype=x.dtype)
     Q[0] = root_w * q0
-    H = np.zeros((n + 1, n), dtype=complex if mirror is None else float)
+    H = np.zeros((n + 1, n), dtype=float if real else complex)
     for k in range(n):
         v = x * Q[k]
         Qk = Q[: k + 1]
@@ -125,8 +97,6 @@ def factor_nodes(
         H[: k + 1, k] = h
         H[k + 1, k] = norm
         Q[k + 1] = v / norm
-    if x.size < nodes.size:
-        Q = Q / np.sqrt(pairs)  # back to the node weights
     return _Factor(H=H, q0=q0, degree=n, Q=Q)
 
 

@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,20 +45,6 @@ _CONFIG_ERRORS = (
     CurveRequired,
     ValueError,
 )
-
-_DEFAULTS = {
-    "geometry": {"kind": "circle"},
-    "z0": [2.0, 0.0],
-    "degrees": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
-    "grid_size": 512,
-    "gap_tol": 1e-6,
-    "max_iters": 20000,
-    "szego_grid": 4096,
-    "szego_trials": 200,
-    "seed": 0,
-    "output_dir": "out",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -112,9 +99,12 @@ def geometry_to_obj(g: geo.CurveGeometry) -> dict:
     }
 
 
-def geometry_from_obj(obj) -> geo.CurveGeometry:
+def geometry_from_obj(obj, label: str = "geometry") -> geo.CurveGeometry:
+    """A geometry from its JSON object, or from the `--geometry` flag's text."""
+    if isinstance(obj, str):
+        obj = parse_geometry_flag(obj)
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("geometry: expected an object with a 'kind' field")
+        raise ConfigError(f"{label}: expected an object with a 'kind' field")
     kind = obj["kind"]
     if kind == "circle":
         return geo.unit_circle()
@@ -124,20 +114,18 @@ def geometry_from_obj(obj) -> geo.CurveGeometry:
         axes = []
         for key in ("a", "b"):
             if key not in obj:
-                raise ConfigError(f"geometry.{key}: required for an ellipse")
-            axes.append(_float_from_obj(obj[key], f"geometry.{key}"))
+                raise ConfigError(f"{label}.{key}: required for an ellipse")
+            axes.append(_float_from_obj(obj[key], f"{label}.{key}"))
         return geo.ellipse(*axes)
     if kind == "laurent":
         try:
-            capacity = _float_from_obj(obj.get("capacity"), "geometry.capacity")
-            center = _complex_from_obj(obj.get("center", 0.0), "geometry.center")
-            tail = tuple(
-                _complex_from_obj(c, "geometry.tail") for c in obj.get("tail", [])
-            )
+            capacity = _float_from_obj(obj.get("capacity"), f"{label}.capacity")
+            center = _complex_from_obj(obj.get("center", 0.0), f"{label}.center")
+            tail = tuple(_complex_from_obj(c, f"{label}.tail") for c in obj.get("tail", []))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"geometry: {exc}") from None
+            raise ConfigError(f"{label}: {exc}") from None
         return geo.laurent_curve(capacity, center, tail)
-    raise ConfigError(f"geometry.kind: unknown kind {kind!r}")
+    raise ConfigError(f"{label}.kind: unknown kind {kind!r}")
 
 
 def parse_geometry_flag(text: str) -> dict:
@@ -228,8 +216,37 @@ def parse_degrees(spec, label: str = "degrees") -> tuple[int, ...]:
         raise ConfigError(f"{label}: expected integers, got {text!r}") from None
 
 
+class _Field(NamedTuple):
+    """One config field: its default as JSON gives it, the reader(value, label)
+    that its JSON value and its flag's text both go through, its flag and help."""
+
+    default: object
+    read: Callable
+    flag: str
+    help: str
+
+
+_FIELDS = {
+    "geometry": _Field({"kind": "circle"}, geometry_from_obj, "--geometry",
+                       "circle | interval | ellipse:A,B"),
+    "z0": _Field([2.0, 0.0], _complex_from_obj, "--z0",
+                 "prediction point 're' or 're,im'; write a negative real part as --z0=-2,0"),
+    "degrees": _Field(list(range(1, 11)), parse_degrees, "--degrees",
+                      "'a..b[:step]' range or comma list"),
+    "grid_size": _Field(512, _int_from_obj, "--grid", "boundary grid size m"),
+    "gap_tol": _Field(1e-6, _float_from_obj, "--gap-tol", "certificate gap tolerance"),
+    "max_iters": _Field(20000, _int_from_obj, "--max-iters", "solver iteration budget"),
+    "szego_grid": _Field(4096, _int_from_obj, "--szego-grid", "angular grid for circle densities"),
+    "szego_trials": _Field(200, _int_from_obj, "--trials", "random-density trial count"),
+    "seed": _Field(0, _int_from_obj, "--seed", "base RNG seed"),
+    "output_dir": _Field("out", _str_from_obj, "--out", "output directory"),
+}
+
+
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
-    raw = dict(_DEFAULTS)
+    """Defaults, then the JSON file at `path`, then the non-None `overrides`,
+    each field read by its `_FIELDS` reader."""
+    raw = {key: field.default for key, field in _FIELDS.items()}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -241,26 +258,14 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
         if not isinstance(file_obj, dict):
             raise ConfigError("config: top level must be a JSON object")
         for key, value in file_obj.items():
-            if key not in _DEFAULTS:
+            if key not in _FIELDS:
                 raise ConfigError(f"config: unknown field {key!r}")
             raw[key] = value
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value
-    geometry = geometry_from_obj(raw["geometry"])
     try:
-        cfg = ExperimentConfig(
-            geometry=geometry,
-            z0=_complex_from_obj(raw["z0"], "z0"),
-            degrees=parse_degrees(raw["degrees"]),
-            grid_size=_int_from_obj(raw["grid_size"], "grid_size"),
-            gap_tol=_float_from_obj(raw["gap_tol"], "gap_tol"),
-            max_iters=_int_from_obj(raw["max_iters"], "max_iters"),
-            szego_grid=_int_from_obj(raw["szego_grid"], "szego_grid"),
-            szego_trials=_int_from_obj(raw["szego_trials"], "szego_trials"),
-            seed=_int_from_obj(raw["seed"], "seed"),
-            output_dir=_str_from_obj(raw["output_dir"], "output_dir"),
-        )
+        cfg = ExperimentConfig(**{key: field.read(raw[key], key) for key, field in _FIELDS.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: {exc}") from None
     return cfg.validate()
@@ -287,6 +292,8 @@ def write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 def _cell(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
@@ -365,6 +372,21 @@ def cmd_opm(cfg: ExperimentConfig) -> int:
     return 0
 
 
+# Each convergence column and the ConvergenceRow attribute it reads, in
+# convergence.csv's order; plotdata.json's series are all but n, seconds and status.
+_COLUMNS = {
+    "n": "n",
+    "objective": "objective",
+    "tilde_B": "tilde_bergman",
+    "growth_ratio": "growth_ratio",
+    "moment_discrepancy": "moment_discrepancy",
+    "gap": "gap",
+    "iterations": "iterations",
+    "seconds": "seconds",
+    "status": "status",
+}
+
+
 def cmd_convergence(cfg: ExperimentConfig) -> int:
     _require_exterior(cfg)
     rows = opm.convergence_study(
@@ -377,46 +399,23 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
     )
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    header = [
-        "n",
-        "objective",
-        "tilde_B",
-        "growth_ratio",
-        "moment_discrepancy",
-        "gap",
-        "iterations",
-        "seconds",
-        "status",
-    ]
-    csv_rows = [
-        [
-            str(r.n),
-            _cell(r.objective),
-            _cell(r.tilde_bergman),
-            _cell(r.growth_ratio),
-            _cell(r.moment_discrepancy),
-            _cell(r.gap),
-            str(r.iterations),
-            _cell(r.seconds),
-            r.status,
-        ]
-        for r in rows
-    ]
-    write_csv(os.path.join(out, "convergence.csv"), header, csv_rows)
+    table = {name: [getattr(r, attr) for r in rows] for name, attr in _COLUMNS.items()}
+    write_csv(
+        os.path.join(out, "convergence.csv"),
+        list(table),
+        [[_cell(x) for x in row] for row in zip(*table.values())],
+    )
     write_json(
         os.path.join(out, "plotdata.json"),
         {
             "x_label": "n",
-            "x": [r.n for r in rows],
+            "x": table["n"],
             "series": {
-                "objective": [_json_num(r.objective) for r in rows],
-                "tilde_B": [_json_num(r.tilde_bergman) for r in rows],
-                "growth_ratio": [_json_num(r.growth_ratio) for r in rows],
-                "moment_discrepancy": [_json_num(r.moment_discrepancy) for r in rows],
-                "gap": [_json_num(r.gap) for r in rows],
-                "iterations": [r.iterations for r in rows],
+                name: [_json_num(x) if isinstance(x, float) else x for x in col]
+                for name, col in table.items()
+                if name not in ("n", "seconds", "status")
             },
-            "status": [r.status for r in rows],
+            "status": table["status"],
         },
     )
     _append_run_log(
@@ -529,22 +528,6 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 # entry point
 
 
-def _add_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="path to a JSON config file")
-    p.add_argument("--geometry", help="circle | interval | ellipse:A,B")
-    p.add_argument(
-        "--z0", help="prediction point 're' or 're,im'; write a negative real part as --z0=-2,0"
-    )
-    p.add_argument("--degrees", help="'a..b[:step]' range or comma list")
-    p.add_argument("--grid", type=int, help="boundary grid size m")
-    p.add_argument("--gap-tol", type=float, help="certificate gap tolerance")
-    p.add_argument("--max-iters", type=int, help="solver iteration budget")
-    p.add_argument("--szego-grid", type=int, help="angular grid for circle densities")
-    p.add_argument("--trials", type=int, help="random-density trial count")
-    p.add_argument("--seed", type=int, help="base RNG seed")
-    p.add_argument("--out", help="output directory")
-
-
 _COMMANDS = {
     "opm": cmd_opm,
     "convergence": cmd_convergence,
@@ -561,7 +544,10 @@ _PARSER = argparse.ArgumentParser(
 )
 _SUBPARSERS = _PARSER.add_subparsers(dest="command", required=True)
 for _name in _COMMANDS:
-    _add_flags(_SUBPARSERS.add_parser(_name))
+    _sub = _SUBPARSERS.add_parser(_name)
+    _sub.add_argument("--config", help="path to a JSON config file")
+    for _field in _FIELDS.values():
+        _sub.add_argument(_field.flag, help=_field.help)  # its text goes to the field's reader
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -569,16 +555,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         overrides = {
-            "geometry": parse_geometry_flag(args.geometry) if args.geometry else None,
-            "z0": args.z0,
-            "degrees": args.degrees,
-            "grid_size": args.grid,
-            "gap_tol": args.gap_tol,
-            "max_iters": args.max_iters,
-            "szego_grid": args.szego_grid,
-            "szego_trials": args.trials,
-            "seed": args.seed,
-            "output_dir": args.out,
+            key: getattr(args, field.flag[2:].replace("-", "_"))  # argparse's name for the flag
+            for key, field in _FIELDS.items()
         }
         cfg = load_config(args.config, overrides)
     except _CONFIG_ERRORS as exc:

@@ -32,9 +32,11 @@ D w = a, so the model -g . (v - w) + ||D (v - w)||^2 equals
 ||D v - t||^2 - B / 4 with t = 3 a / 2: each Newton step is the point of
 conv{D_j} nearest t.  Wolfe's minimum-norm-point algorithm finds it on a
 corral of at most rank + 1 affinely independent points: nodes and, from a
-broad support, the iterate itself (D w = a).  A corral of nodes has the
-Caratheodory bound built in: at most 2n + 3 atoms, where a c-optimal design
-has an optimum with at most 2n + 1.  No step reduces a support at fixed B.
+broad support, the iterate itself (D w = a).  Only a corral of nodes bounds
+the new support (2n + 3 atoms; a c-optimal design has an optimum with
+2n + 1).  One that keeps the iterate keeps its support, and no step reduces
+a support at fixed B, so a broad start can end broad: the circle at
+z0 = 1.1i, n = 8, m = 1000, gap_tol 1e-16 ends on every node.
 
 Conjugate pairs are folded when z0 is real and conjugation maps the grid
 exactly onto itself (the circle, the ellipse and real-coefficient Laurent
@@ -114,54 +116,61 @@ class OpmSolution:
         return self.status == "converged"
 
 
+def _mirror(nodes: np.ndarray) -> np.ndarray | None:
+    """Index of each node's conjugate, or None unless conjugation maps the
+    nodes exactly (bitwise) onto themselves."""
+    if not np.any(nodes.imag):
+        return np.arange(nodes.size)  # real nodes are their own mirrors
+    order = np.lexsort((nodes.imag, nodes.real))
+    flip = np.lexsort((-nodes.imag, nodes.real))  # sorts conj(nodes) in the same order
+    if not np.array_equal(nodes[order], nodes[flip].conj()):
+        return None
+    mirror = np.empty_like(order)
+    mirror[order] = flip
+    return mirror
+
+
 class _Work:
     """Shared arrays for one solve.
 
     Basis rows are the orthonormal polynomials of the uniform starting
     measure at the nodes, U[i, k] = q_k(x_i), read off the Arnoldi factor
-    (its node rows carry sqrt(1/m)), so the grid is orthogonalized once and
-    never evaluated again.  The moment matrix is the identity at the start
-    and stays moderately conditioned along the whole weight path, which
-    keeps certificate arithmetic accurate at high degree.
+    (its node rows carry sqrt(mult / m)), so the grid is orthogonalized
+    once and never evaluated again.  The moment matrix is the identity at
+    the start and stays moderately conditioned along the whole weight path,
+    which keeps certificate arithmetic accurate at high degree.
 
-    A folded solve (real z0 on a grid that conjugation maps exactly onto
-    itself, see the module docstring) keeps only the orbit representatives
-    `rep`, the nodes with Im >= 0, in its rows.  Each weight is then the
-    mass of an orbit {x, conj x} of `mult` nodes (1 on the real axis, else
-    2), which `unfold` splits equally on the original grid; c is real, and
-    so is the moment matrix Re(U^H W U), whose two real products use the
-    `parts` Re U and Im U.  On real nodes U is real and `parts` is U itself,
-    also at a nonreal z0 that is not folded.  Otherwise `rep` is the whole
-    grid, `mult` is 1 and `parts` is None: U, c and M are complex.
-
-    At z0 = i a on a grid that x -> -conj(x) maps exactly onto itself the
-    work is built on the turned nodes -i x at the real point a, and folded
-    as above (on the segment U is then complex, its rows the nodes x <= 0).
-    Indices are those of the caller's grid throughout; only `nodes` holds
-    turned positions, whose distances are those of the original.
+    The fold (see the module docstring) is read off the grid and z0 here,
+    once: for the first exact turn t in (1, -i) with t z0 real under which
+    conjugation maps the turned nodes t x exactly onto themselves
+    (`_mirror`), the rows are the orbit representatives `rep` (Im t x >= 0),
+    each weight the mass of an orbit of `mult` nodes (1 on the real axis,
+    else 2), which `orbit_mass` sums and `unfold` splits equally.  They are
+    factored in real arithmetic (`bergman.factor_nodes`'s `real`), so c and
+    M = Re(U^H W U) are real, M formed from the `parts` Re U and Im U.  On
+    real nodes U is real and `parts` is U itself, also at a nonreal z0 that
+    is not folded.  Otherwise `rep` is the whole grid, `mult` is 1 and
+    `parts` is None: U, c and M are complex.  Indices are those of the
+    caller's grid throughout.
     """
 
     def __init__(self, nodes: np.ndarray, z0: complex, n: int):
-        self.m = nodes.size
+        self.m = m = nodes.size
         self.n = n
-        w0 = np.full(self.m, 1.0 / self.m)
         z0 = complex(z0)
         mirror = None
-        if z0.imag == 0.0:
-            mirror = bergman._mirror(nodes, w0)
-        elif z0.real == 0.0:
-            turned = -1j * nodes  # exact: swaps Re and Im and flips one sign
-            mirror = bergman._mirror(turned, w0)
-            if mirror is not None:
-                nodes, z0 = turned, -1j * z0
-        fac = bergman.factor_nodes(nodes, w0, n, mirror)
-        c = bergman._features(fac, np.asarray([z0]))[:, 0]
+        for turn in (1.0, -1j):  # exact: -1j swaps Re and Im and flips one sign
+            if (turn * z0).imag == 0.0 and (mirror := _mirror(turn * nodes)) is not None:
+                nodes, z0 = turn * nodes, turn * z0
+                break
         self.fold = mirror is not None
-        self.rep = np.flatnonzero(nodes.imag >= 0.0) if self.fold else np.arange(self.m)
+        self.rep = np.flatnonzero(nodes.imag >= 0.0) if self.fold else np.arange(m)
         self.mirror = mirror[self.rep] if self.fold else self.rep
         self.mult = np.where(self.mirror == self.rep, 1.0, 2.0)
-        self.nodes = nodes[self.rep]
-        self._set_basis(np.ascontiguousarray(np.sqrt(self.m) * fac.Q.T), c.real if self.fold else c)
+        fac = bergman.factor_nodes(nodes[self.rep], self.mult / m, n, self.fold)
+        c = bergman._features(fac, np.asarray([z0]))[:, 0]
+        U = np.sqrt(m) * (fac.Q / np.sqrt(self.mult)).T
+        self._set_basis(np.ascontiguousarray(U), c.real if self.fold else c)
 
     def _set_basis(self, U: np.ndarray, c: np.ndarray) -> None:
         """Set U and c, and the arrays the products read from U."""
@@ -191,6 +200,10 @@ class _Work:
         out = np.zeros(self.m)
         out[self.rep] = out[self.mirror] = w / self.mult
         return out
+
+    def orbit_mass(self, w: np.ndarray) -> np.ndarray:
+        """Each orbit's total of the node weights w on the original grid: `unfold`'s inverse."""
+        return w[self.rep] + (self.mult - 1.0) * w[self.mirror]
 
     def moment_matrix(self, w: np.ndarray) -> np.ndarray:
         s = np.flatnonzero(w)
@@ -480,9 +493,7 @@ def _solve(
     work: _Work, nodes: np.ndarray, z0: complex, gap_tol: float, max_iters: int, start=None
 ) -> OpmSolution:
     """`solve_opm` on a built work of degree work.n for the grid `nodes` and z0."""
-    if start is None:
-        w = work.mult / work.m
-    else:
+    if start is not None:
         start = np.asarray(start)
         if (
             start.dtype.kind not in "uif"
@@ -490,8 +501,8 @@ def _solve(
             or not np.all(np.isfinite(start) & (start > 0.0))
         ):
             raise ValueError(f"start: need {work.m} positive finite real weights, one per node")
-        w = start[work.rep] + (work.mult - 1.0) * start[work.mirror]  # each orbit's mass
-        w /= w.sum()
+    w = work.orbit_mass(np.ones(work.m) if start is None else start)
+    w /= w.sum()  # uniform: bitwise mult / m, since the orbit sizes sum to m exactly
     status, (gap, B, w), trace = _iterate(work, w, gap_tol, max_iters, start is None)
     w = work.unfold(w)
     support = np.flatnonzero(w > 0.0)

@@ -139,3 +139,27 @@ def test_tilde_monotonicity_refuses_arcs():
     mu = msr.uniform_measure(msr.discretize_boundary(geo.interval(), 32))
     with pytest.raises(CurveRequired):
         bergman.tilde_monotonicity_defect(geo.interval(), mu, 4, 1, 2.0)
+
+
+@pytest.mark.parametrize(
+    "nodes, n, z0",
+    [
+        (msr.discretize_boundary(geo.ellipse(2.0, 1.0), 660), 12, 3.0),
+        (-1j * msr.discretize_boundary(geo.interval(), 2000), 30, 1.0),  # z0 = i, turned
+    ],
+    ids=["ellipse21", "turned-segment"],
+)
+def test_real_factor_of_orbits_matches_the_unfolded_factor(nodes, n, z0):
+    """On the representatives (Im x >= 0) of the orbits {x, conj x}, each at
+    its orbit's mass, `factor_nodes(real=True)` is the complex factor of the
+    whole grid: the same rows once rescaled, a float64 H, the same B."""
+    m = nodes.size
+    rep = np.flatnonzero(nodes.imag >= 0.0)
+    mult = np.where(nodes[rep].imag > 0.0, 2.0, 1.0)
+    assert mult.sum() == m  # the grid is closed under conjugation
+    folded = bergman.factor_nodes(nodes[rep], mult / m, n, real=True)
+    full = bergman.factor_nodes(nodes, np.full(m, 1.0 / m), n)
+    assert folded.H.dtype == np.float64 and full.H.dtype == complex
+    assert np.max(np.abs(folded.Q / np.sqrt(mult) - full.Q[:, rep])) <= 1e-12
+    B = bergman.bergman_value(full, z0)
+    assert abs(bergman.bergman_value(folded, z0) / B - 1.0) <= 1e-13

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -22,6 +23,36 @@ def run(*args):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+# Each config field: a flag text and the JSON value that reads as the same config.
+FIELD_SAMPLES = {
+    "geometry": ("ellipse:2,1", {"kind": "ellipse", "a": 2.0, "b": 1.0}),
+    "z0": ("-3,0.5", [-3.0, 0.5]),
+    "degrees": ("4..8:4", [4, 8]),
+    "grid_size": ("700", 700),
+    "gap_tol": ("1e-8", 1e-8),
+    "max_iters": ("50", 50),
+    "szego_grid": ("128", 128),
+    "szego_trials": ("7", 7),
+    "seed": ("3", 3),
+    "output_dir": ("runs/x", "runs/x"),
+}
+
+# Every subcommand's flags, in --help order, with their help strings.
+FLAG_HELP = {
+    "--config": "path to a JSON config file",
+    "--geometry": "circle | interval | ellipse:A,B",
+    "--z0": "prediction point 're' or 're,im'; write a negative real part as --z0=-2,0",
+    "--degrees": "'a..b[:step]' range or comma list",
+    "--grid": "boundary grid size m",
+    "--gap-tol": "certificate gap tolerance",
+    "--max-iters": "solver iteration budget",
+    "--szego-grid": "angular grid for circle densities",
+    "--trials": "random-density trial count",
+    "--seed": "base RNG seed",
+    "--out": "output directory",
+}
 
 
 class TestParsers:
@@ -96,6 +127,37 @@ class TestConfig:
         cfg = cli.load_config(str(p), {"grid_size": 512})
         assert cfg.seed == 5
         assert cfg.grid_size == 512
+
+    def test_every_field_reads_its_flag_text_as_its_json_value(self, tmp_path, monkeypatch):
+        """Flags and JSON keys go through one reader per `_FIELDS` entry."""
+        assert set(FIELD_SAMPLES) == set(cli._FIELDS)
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "opm", lambda cfg: seen.append(cfg) or 0)
+        default = cli.load_config(None, {})
+        for key, (text, value) in FIELD_SAMPLES.items():
+            p = tmp_path / f"{key}.json"
+            p.write_text(json.dumps({key: value}))
+            assert run("opm", "--config", str(p)) == 0
+            assert run("opm", f"{cli._FIELDS[key].flag}={text}") == 0
+            from_json, from_flag = seen[-2:]
+            assert from_flag == from_json, key
+            assert getattr(from_flag, key) != getattr(default, key), key
+
+    def test_help_lists_config_and_the_field_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("opm", "--help")
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert re.findall(r"^  (--[a-z0-9-]+)", text, re.M) == list(FLAG_HELP)
+        assert {f.flag: f.help for f in cli._FIELDS.values()} == dict(list(FLAG_HELP.items())[1:])
+        flat = " ".join(text.split())
+        for help_text in FLAG_HELP.values():
+            assert help_text in flat
+
+    def test_malformed_flag_text_is_a_config_error(self, capsys):
+        """A flag's text meets the field's reader, not an argparse type."""
+        assert run("opm", "--grid", "abc") == 2
+        assert "config error: grid_size: expected an integer, got 'abc'" in capsys.readouterr().err
 
 
 class TestOpmCommand:

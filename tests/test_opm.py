@@ -212,8 +212,8 @@ def test_no_moment_matrix_is_factored_twice(monkeypatch, grid, z0, n, gap_tol):
 
 def test_newton_steps_keep_unit_mass(monkeypatch):
     """Every Newton trial is judged on normalized weights, so each accepted step keeps unit mass."""
-    sums = []
-    newton = opm._newton_step
+    sums, warmups = [], []
+    newton, mult = opm._newton_step, opm._try_mult
 
     def recording(*args):
         out = newton(*args)
@@ -221,10 +221,16 @@ def test_newton_steps_keep_unit_mass(monkeypatch):
             sums.append(float(out[0].sum()))
         return out
 
+    def counting(*args):
+        out = mult(*args)
+        warmups.append(out is not None)
+        return out
+
     monkeypatch.setattr(opm, "_newton_step", recording)
+    monkeypatch.setattr(opm, "_try_mult", counting)
     sol = opm.solve_opm(SEGMENT_GRID, 2.0, 30, gap_tol=1e-8)
     assert sol.converged
-    assert len(sums) == sol.iterations - opm._WARMUP_STEPS  # one accepted step per iteration
+    assert len(sums) == sol.iterations - sum(warmups)  # one accepted step per iteration
     assert max(abs(s - 1.0) for s in sums) <= 1e-14
 
 
@@ -758,10 +764,10 @@ def test_convergence_study_rows_survive_a_failed_top_build(monkeypatch):
     its own and equals its own `solve_opm`; the top row records the error."""
     factor = bergman.factor_nodes
 
-    def failing(nodes, weights, n, mirror=None):
+    def failing(nodes, weights, n, real=False):
         if n == 16:
             raise RankDeficient("injected")
-        return factor(nodes, weights, n, mirror)
+        return factor(nodes, weights, n, real)
 
     monkeypatch.setattr(bergman, "factor_nodes", failing)
     g = geo.ellipse(2.0, 1.0)
