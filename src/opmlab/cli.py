@@ -290,8 +290,6 @@ def write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _cell(x) -> str:
-    if x is None:
-        return ""
     if isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)):
@@ -322,9 +320,7 @@ def cmd_opm(cfg: ExperimentConfig) -> int:
     n = cfg.degrees[-1]
     grid = msr.discretize_boundary(cfg.geometry, cfg.grid_size)
     t0 = time.perf_counter()
-    start = None  # on a curve, the start of `convergence`'s rows, so both give one answer
-    if cfg.geometry.is_curve:
-        start = msr.balayage_point_mass(cfg.geometry, cfg.z0, cfg.grid_size).weights
+    start = msr.balayage_point_mass(cfg.geometry, cfg.z0, cfg.grid_size).weights  # as in `convergence`
     sol = opm.solve_opm(grid, cfg.z0, n, gap_tol=cfg.gap_tol, max_iters=cfg.max_iters, start=start)
     dt = time.perf_counter() - t0
 

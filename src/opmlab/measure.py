@@ -2,11 +2,11 @@
 
 Measures are weight vectors over complex nodes.  Boundary grids come from the
 geometry's level curve at r = 1 (Chebyshev points for the segment).  The
-balayage of an exterior point mass onto a closed curve is the harmonic
-measure seen from that point; on the conformal circle it is the Poisson
-kernel at the reflected point 1/conj(Phi(z0)), discretized by the
-trapezoidal rule on the uniform angular grid, which is spectrally accurate
-for smooth densities.
+balayage of an exterior point mass is the harmonic measure seen from that
+point: on the conformal circle, the Poisson kernel at the reflected point
+1/conj(Phi(z0)), discretized by the trapezoidal rule on the uniform angular
+grid (on [0, pi] for the segment, the circle's image under cos), which is
+spectrally accurate for smooth densities.
 """
 
 from __future__ import annotations
@@ -147,25 +147,35 @@ def pushforward(mu: DiscreteMeasure, geom: geo.CurveGeometry) -> DiscreteMeasure
     return DiscreteMeasure(w / mods, mu.weights.copy())
 
 
+def _poisson(boundary: np.ndarray, w0: complex) -> np.ndarray:
+    """The Poisson kernel (1 - |w0|^2) / |e^{it} - w0|^2 of the disk point w0 at e^{it}."""
+    return (1.0 - abs(w0) ** 2) / np.abs(boundary - w0) ** 2
+
+
 def balayage_point_mass(geom: geo.CurveGeometry, z0: complex, m: int) -> DiscreteMeasure:
     """Harmonic measure of the exterior point z0, discretized on the boundary grid.
 
-    Weights are proportional to the Poisson kernel at w0 = 1/conj(Phi(z0))
-    evaluated on the uniform angular grid; nodes are Psi(e^{i t_j}).
+    Weights are proportional to the Poisson kernel P at w0 = 1/conj(Phi(z0)):
+    on the uniform angular grid at the nodes Psi(e^{i t_j}) of a curve, and
+    as P(t) + P(-t) at t_j = pi j / (m - 1), the two end weights halved, at
+    the segment's Chebyshev nodes cos(t_j).
     """
-    if not geom.is_curve:
-        raise CurveRequired("balayage onto an arc is not supported")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     w = geo.exterior_map(geom, z0)
     if abs(w) <= 1.0 + 1e-12:
         raise InsideDomain(f"z0 must be strictly exterior, |Phi(z0)| = {abs(w):.6g}")
     w0 = 1.0 / np.conj(w)
-    t = 2.0 * np.pi * np.arange(m) / m
-    boundary = np.exp(1j * t)
-    density = (1.0 - abs(w0) ** 2) / np.abs(boundary - w0) ** 2
-    weights = density / density.sum()
-    return DiscreteMeasure(geo.psi(geom, boundary), weights)
+    if geom.is_curve:
+        boundary = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+        density = _poisson(boundary, w0)
+        nodes = geo.psi(geom, boundary)
+    else:
+        boundary = np.exp(1j * (np.pi * np.arange(m) / max(m - 1, 1)))
+        density = _poisson(boundary, w0) + _poisson(boundary.conj(), w0)
+        density[[0, -1]] *= 0.5
+        nodes = discretize_boundary(geom, m)
+    return DiscreteMeasure(nodes, density / density.sum())
 
 
 def measure_from_boundary_density(geom: geo.CurveGeometry, values: np.ndarray) -> DiscreteMeasure:

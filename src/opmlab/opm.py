@@ -17,9 +17,9 @@ share one certificate primitive (the node scores |K_n(x_i, z0)|^2):
   * Newton steps whose quadratic model runs over the whole grid: each
     iteration is one such step, with no inner loop on a fixed node set.
 
-A given start (`solve_opm`'s `start`; on a curve, that balayage itself)
-takes no warmup: it is certified as it is, and at high degree it already
-converges with no step.
+A given start (`solve_opm`'s `start`; in `opm` and `convergence`, that
+balayage itself) takes no warmup: it is certified as it is, and at high
+degree it already converges with no step.
 
 Each Newton step minimizes its quadratic model over the nonnegative weights
 of unit mass on every node (`_newton_step`), and is taken only on an exact
@@ -292,8 +292,8 @@ def _nearest_point(columns, price, t, w, g, center, level: float, tol: float, fl
     independent points (r = t.size) whose weights lam > 0 give x + t
     (Wolfe, Math. Programming 11, 1976).  It starts from the support of w at
     lam = w_S when that has at most r nodes, else from the iterate itself
-    (the point D w = `center`) at lam = 1 and the max-score node (by g) of
-    each of r contiguous support groups at lam = 0, less dependent columns.
+    (the point D w = `center`) at lam = 1 and the r highest (cyclic) local
+    maxima of g on the support, where atoms sit, at lam = 0, less dependent columns.
 
     Its directions from its first point are an orthonormal Q = Delta T, so
     the minimizer of ||x|| over its affine hull has its weights read off T.
@@ -309,12 +309,12 @@ def _nearest_point(columns, price, t, w, g, center, level: float, tol: float, fl
     S = np.flatnonzero(w)
     if S.size <= r:
         C, lam = columns(S), w[S]
-    else:  # the iterate, then the max-score node of each contiguous support group
-        starts = np.arange(r) * S.size // r
-        group = np.repeat(np.arange(r), np.diff(starts, append=S.size))
-        S = S[np.lexsort((-g[S], group))[starts]]
+    else:  # the iterate, then the r highest local maxima of the support's scores
+        gS = g[S]
+        peak = np.flatnonzero((gS >= np.roll(gS, 1)) & (gS >= np.roll(gS, -1)))
+        S = S[np.sort(peak[np.argsort(-gS[peak], kind="stable")[:r]])]
         C = np.column_stack((center, columns(S)))
-        S, lam = np.append(m, S), np.append(1.0, np.zeros(r))
+        S, lam = np.append(m, S), np.append(1.0, np.zeros(S.size))
     E = C[:, 1:] - C[:, :1]  # the seed's directions from its first node
     Q, R = np.linalg.qr(E)
     d = np.abs(R.diagonal())
@@ -458,10 +458,12 @@ def solve_opm(
     Starts from uniform weights and a short multiplicative warmup, or, when
     `start` is given, from those weights with no warmup: `start` holds one
     strictly positive, finite weight per node (length nodes.size, any total
-    mass), and anything else raises ValueError.  On a curve the discretized
-    balayage of the point mass at z0 (`measure.balayage_point_mass`, the
-    limit of the optima) is such a start, and at high degree it certifies
-    with no step.  A folded solve starts from each orbit's total of `start`.
+    mass), and anything else raises ValueError.  The discretized balayage of
+    the point mass at z0 (`measure.balayage_point_mass`, the limit of the
+    optima) is such a start, and at high degree it certifies with no step.
+    A folded solve starts from each orbit's total of `start`.  The warmup
+    serves `start=None` alone: without it, Newton from uniform weights ends
+    elsewhere on the optimal face (see `_iterate`).
 
     Each iteration is one step, a warmup step or one Newton step over the
     whole grid (the point of conv{D_j} nearest a target, see the module
@@ -528,8 +530,9 @@ def _iterate(work: _Work, w: np.ndarray, gap_tol: float, max_iters: int, warmup:
     optimum keeps broad support outright (one step from uniform lands on
     the discretized balayage); it ends at the first rejected step or after
     `_WARMUP_STEPS` steps.  A given start skips it: from the balayage,
-    reweighting only spends steps that Newton would spend better.  Every
-    later iteration is one `_newton_step`, whose model (the point of a
+    reweighting only spends steps that Newton would spend better.  The
+    uniform start keeps it: from there without it, Newton ends elsewhere on
+    the optimal face (other atoms and moments).  Every later iteration is one `_newton_step`, whose model (the point of a
     convex hull nearest a target, found by Wolfe's algorithm) runs over the
     whole grid.  The budget is checked before every step, so a solve takes at
     most `max_iters` steps.  It ends "stalled" when a Newton step finds no
@@ -608,7 +611,7 @@ class ConvergenceRow:
     objective: float
     tilde_bergman: float
     growth_ratio: float
-    moment_discrepancy: float | None
+    moment_discrepancy: float
     gap: float
     iterations: int
     seconds: float
@@ -627,12 +630,10 @@ def convergence_study(
     """Solve each degree on the canonical m-point grid and tabulate diagnostics.
 
     Rows that fail numerically are recorded with a status and NaN payload
-    rather than aborting the study.  On a curve every row starts from the
-    discretized balayage of the point mass, the limit of the optima, with
-    no warmup (`solve_opm`'s `start`); a row whose start already certifies
-    takes 0 iterations, and its moment discrepancy against that balayage,
-    which exists for curves only, is then at rounding level.  The segment
-    starts from uniform weights.
+    rather than aborting the study.  Every row starts from the discretized
+    balayage of the point mass, the limit of the optima, with no warmup
+    (`solve_opm`'s `start`); a row whose start already certifies takes 0
+    iterations, and its moment discrepancy against it is at rounding level.
 
     The grid is factored once, at the largest degree it admits; every row
     solves on the leading blocks of that factor (`_Work.leading`), so each
@@ -642,8 +643,7 @@ def convergence_study(
     """
     grid = np.asarray(msr.discretize_boundary(geom, m), dtype=complex)
     phi_abs = abs(geo.exterior_map(geom, z0))
-    target = msr.balayage_point_mass(geom, z0, m) if geom.is_curve else None
-    start = None if target is None else target.weights
+    target = msr.balayage_point_mass(geom, z0, m)
     t0 = time.perf_counter()
     top = max((nn for nn in degrees if nn < grid.size), default=None)
     try:
@@ -655,24 +655,19 @@ def convergence_study(
         try:
             _checked(grid, z0, nn)
             work = _Work(grid, z0, nn) if shared is None else shared.leading(nn)
-            sol = _solve(work, grid, z0, gap_tol, max_iters, start)
+            sol = _solve(work, grid, z0, gap_tol, max_iters, target.weights)
         except OpmlabError as exc:
             dt = time.perf_counter() - t0
             nan = float("nan")
-            return ConvergenceRow(nn, nan, nan, nan, None, nan, 0, dt, f"error: {exc}")
+            return ConvergenceRow(nn, nan, nan, nan, nan, nan, 0, dt, f"error: {exc}")
         dt = time.perf_counter() - t0
         tilde = sol.objective / phi_abs ** (2 * nn)
-        disc = (
-            msr.moment_discrepancy(sol.measure, target, _K_MOMENTS)
-            if target is not None
-            else None
-        )
         return ConvergenceRow(
             n=nn,
             objective=sol.objective,
             tilde_bergman=tilde,
             growth_ratio=float(np.sqrt(tilde)),
-            moment_discrepancy=disc,
+            moment_discrepancy=msr.moment_discrepancy(sol.measure, target, _K_MOMENTS),
             gap=sol.certificate_gap,
             iterations=sol.iterations,
             seconds=dt,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bergman, geometry as geo
 from .errors import CurveRequired, NotSzegoClass, TooCloseToBoundary
-from .measure import DiscreteMeasure, _json_num
+from .measure import DiscreteMeasure, _json_num, _poisson
 
 _DENSITY_FLOOR = 1e-12
 _RADIUS_LIMIT = 0.99
@@ -89,8 +89,7 @@ def poisson_density(w0: complex, m: int = 4096) -> CircleDensity:
     w0 = complex(w0)
     if abs(w0) >= 1.0:
         raise ValueError(f"Poisson density needs |w0| < 1, got |w0| = {abs(w0)!r}")
-    pts = _circle_points(m)
-    vals = (1.0 - abs(w0) ** 2) / np.abs(pts - w0) ** 2
+    vals = _poisson(_circle_points(m), w0)
     return CircleDensity(vals / vals.mean())
 
 

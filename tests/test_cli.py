@@ -348,8 +348,13 @@ class TestBalayageCommand:
         mu = msr.load_csv(out / "balayage.csv")
         assert mu.weights.sum() == pytest.approx(1.0)
 
-    def test_interval_refused(self, tmp_path):
-        assert run("balayage", "--geometry", "interval", "--z0", "2,0", "--out", str(tmp_path / "x")) == 2
+    def test_interval_on_chebyshev_nodes(self, tmp_path):
+        out = tmp_path / "x"
+        argv = ["balayage", "--geometry", "interval", "--z0", "2,0", "--grid", "256"]
+        assert run(*argv, "--out", str(out)) == 0
+        mu = msr.load_csv(out / "balayage.csv")
+        assert np.array_equal(mu.nodes, msr.discretize_boundary(geo.interval(), 256))
+        assert mu.weights.sum() == pytest.approx(1.0)
 
     def test_interior_point_refused(self, tmp_path):
         assert run("balayage", "--geometry", "circle", "--z0", "0.5,0", "--out", str(tmp_path / "x")) == 2

@@ -5,7 +5,7 @@ import pytest
 
 from degree_one_oracle import exhaustive_min, weight_grid
 from model_step_oracle import exact_model_minimizer, model_value
-from opmlab import bergman, geometry as geo, measure as msr, opm
+from opmlab import bergman, cli, geometry as geo, measure as msr, opm
 from opmlab.errors import EmptySupport, RankDeficient
 
 
@@ -272,6 +272,29 @@ def test_benchmark_solves_stay_within_their_work_budget(monkeypatch):
     assert all(r.status == "converged" for r in rows)
     assert calls["price"] <= 93  # 75 measured
     assert calls["factor"] <= 207  # 166 measured: entries and exits of the corral
+
+
+def test_cli_segment_solves_stay_within_their_work_budget(monkeypatch, tmp_path):
+    """The seed-0 `opm` segment ops start at the segment's balayage, and from
+    there Wolfe's seed at the local score maxima holds the Newton models' work
+    to the measured counts plus 25%."""
+    calls = {"price": 0, "factor": 0}
+    price, enter, leave = opm._Work.price, opm._enter, opm._leave
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(opm._Work, "price", counting("price", price))
+    monkeypatch.setattr(opm, "_enter", counting("factor", enter))
+    monkeypatch.setattr(opm, "_leave", counting("factor", leave))
+    for z0, n in (("2,0", 15), ("2,0", 30), ("0,1", 30)):
+        argv = ["opm", "--geometry", "interval", "--z0", z0, "--degrees", str(n), "--grid", "2000"]
+        assert cli.main([*argv, "--gap-tol", "1e-8", "--out", str(tmp_path)]) == 0
+    assert calls["price"] <= 77  # 62 measured
+    assert calls["factor"] <= 120  # 96 measured: entries and exits of the corral
 
 
 @pytest.mark.parametrize("z0, budget", [(2.0, 11), (1j, 12)])
@@ -746,9 +769,15 @@ def test_convergence_study_rows_equal_single_solves(monkeypatch):
         assert np.array_equal(s.measure.weights, ref.measure.weights)
 
 
-def test_convergence_study_interval_has_no_moment_column():
+def test_convergence_study_interval_has_a_moment_column():
     rows = opm.convergence_study(geo.interval(), 2.0, [2], 120)
-    assert rows[0].moment_discrepancy is None
+    assert np.isfinite(rows[0].moment_discrepancy)
+
+
+def test_convergence_study_failed_rows_carry_nan_moments():
+    rows = opm.convergence_study(geo.interval(), 2.0, [70], 64)  # 70 needs more than 64 nodes
+    assert rows[0].status.startswith("error:")
+    assert np.isnan(rows[0].moment_discrepancy)
 
 
 def test_convergence_study_records_row_errors():
