@@ -9,19 +9,21 @@ Output hygiene: every CSV/JSON artifact is written atomically
 (write-to-temp, rename) and is byte-deterministic for a fixed config and
 seed, except for the wall-time `seconds` column of the convergence table,
 which records real measurements; timings are duplicated to run.log, whose
-lines also name the loaded BLAS libraries and their thread counts.
+lines also name the loaded BLAS libraries and their thread counts.  Each
+format has one rule: every JSON file goes through `_json` (a dataclass as
+its fields, complex as [re, im], non-finite as null), every CSV cell
+through `measure.write_csv` (integers in decimal, floats by repr).  `opm`
+builds one record, which certificate.json holds and summary.txt mirrors.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,7 +37,7 @@ from .errors import (
     InvalidGeometry,
     OpmlabError,
 )
-from .measure import _atomic_write_text, _json_num
+from .measure import _atomic_write_text, write_csv
 
 _CONFIG_ERRORS = (
     ConfigError,
@@ -275,26 +277,40 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 # output helpers
 
 
+def _json_num(x) -> float | None:
+    """x as a float, or None (null) when it is not finite."""
+    x = float(x)
+    return x if np.isfinite(x) else None
+
+
+def _json(obj):
+    """obj as plain JSON values: a dataclass as the dict of its fields; dicts,
+    lists, tuples and arrays element by element; numpy scalars as Python
+    scalars; a complex number as [re, im]; a non-finite float as None (null).
+    Anything else is returned as is, for json to write or refuse."""
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return _json_num(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [_json_num(obj.real), _json_num(obj.imag)]
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_json(x) for x in obj]
+    return obj
+
+
 def write_json(path: str, obj) -> None:
-    """Strict JSON: writers map non-finite numbers to null (`_json_num`), and a
-    NaN or inf that slips through raises ValueError instead of being written."""
-    _atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
-
-
-def write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write_text(path, buf.getvalue())
-
-
-def _cell(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+    """Write obj, mapped by `_json`, as strict sorted JSON, atomically.  A value
+    the mapping leaves unreadable to json (a set, say) raises, and so would a
+    NaN or inf (allow_nan=False), so no bare NaN or Infinity token is written."""
+    text = json.dumps(_json(obj), sort_keys=True, indent=2, allow_nan=False)
+    _atomic_write_text(path, text + "\n")
 
 
 def _append_run_log(out: str, lines: list[str]) -> None:
@@ -304,19 +320,11 @@ def _append_run_log(out: str, lines: list[str]) -> None:
         fh.writelines(f"{line}, blas={blas}\n" for line in lines)
 
 
-def _require_exterior(cfg: ExperimentConfig) -> complex:
-    phi = geo.exterior_map(cfg.geometry, cfg.z0)
-    if abs(phi) <= 1.0 + 1e-9:
-        raise ConfigError("z0: must lie strictly exterior to the boundary")
-    return phi
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_opm(cfg: ExperimentConfig) -> int:
-    _require_exterior(cfg)
     n = cfg.degrees[-1]
     grid = msr.discretize_boundary(cfg.geometry, cfg.grid_size)
     t0 = time.perf_counter()
@@ -327,36 +335,21 @@ def cmd_opm(cfg: ExperimentConfig) -> int:
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     msr.save_csv(sol.measure, os.path.join(out, "measure.csv"))
-    write_json(
-        os.path.join(out, "certificate.json"),
-        {
-            "degree": sol.degree,
-            "z0": [cfg.z0.real, cfg.z0.imag],
-            "geometry": geometry_to_obj(cfg.geometry),
-            "grid_size": sol.grid_size,
-            "gap_tol": cfg.gap_tol,
-            "objective": _json_num(sol.objective),
-            "certificate_gap": _json_num(sol.certificate_gap),
-            "iterations": sol.iterations,
-            "status": sol.status,
-            "support_size": int(sol.support.size),
-            "support_indices": [int(i) for i in sol.support],
-        },
-    )
-    summary = "\n".join(
-        [
-            "command = opm",
-            f"geometry = {geometry_to_obj(cfg.geometry)}",
-            f"z0 = {cfg.z0!r}",
-            f"degree = {n}",
-            f"grid_size = {cfg.grid_size}",
-            f"objective = {sol.objective!r}",
-            f"certificate_gap = {sol.certificate_gap!r}",
-            f"iterations = {sol.iterations}",
-            f"status = {sol.status}",
-            f"support_size = {sol.support.size}",
-        ]
-    )
+    record = {  # summary.txt mirrors all keys but the last two
+        "geometry": geometry_to_obj(cfg.geometry),
+        "z0": cfg.z0,
+        "degree": sol.degree,
+        "grid_size": sol.grid_size,
+        "objective": sol.objective,
+        "certificate_gap": sol.certificate_gap,
+        "iterations": sol.iterations,
+        "status": sol.status,
+        "support_size": sol.support.size,
+        "gap_tol": cfg.gap_tol,
+        "support_indices": sol.support,
+    }
+    write_json(os.path.join(out, "certificate.json"), record)
+    summary = "\n".join(["command = opm"] + [f"{k} = {record[k]}" for k in list(record)[:-2]])
     _atomic_write_text(os.path.join(out, "summary.txt"), summary + "\n")
     _append_run_log(
         out, [f"opm degree={n}: {dt:.3f} s, status={sol.status}, iterations={sol.iterations}"]
@@ -384,7 +377,6 @@ _COLUMNS = {
 
 
 def cmd_convergence(cfg: ExperimentConfig) -> int:
-    _require_exterior(cfg)
     rows = opm.convergence_study(
         cfg.geometry,
         cfg.z0,
@@ -396,20 +388,14 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     table = {name: [getattr(r, attr) for r in rows] for name, attr in _COLUMNS.items()}
-    write_csv(
-        os.path.join(out, "convergence.csv"),
-        list(table),
-        [[_cell(x) for x in row] for row in zip(*table.values())],
-    )
+    write_csv(os.path.join(out, "convergence.csv"), list(table), zip(*table.values()))
     write_json(
         os.path.join(out, "plotdata.json"),
         {
             "x_label": "n",
             "x": table["n"],
             "series": {
-                name: [_json_num(x) if isinstance(x, float) else x for x in col]
-                for name, col in table.items()
-                if name not in ("n", "seconds", "status")
+                name: col for name, col in table.items() if name not in ("n", "seconds", "status")
             },
             "status": table["status"],
         },
@@ -434,7 +420,7 @@ def cmd_balayage(cfg: ExperimentConfig) -> int:
     write_csv(
         os.path.join(out, "moments.csv"),
         ["k", "moment_re", "moment_im"],
-        [[str(k), _cell(moments[k].real), _cell(moments[k].imag)] for k in range(1, 9)],
+        [[k, moments[k].real, moments[k].imag] for k in range(1, 9)],
     )
     print(f"balayage of point mass at {cfg.z0!r}: {len(mu)} nodes, mass {mu.weights.sum()!r}")
     for k in range(1, 9):
@@ -451,22 +437,18 @@ def cmd_faber(cfg: ExperimentConfig) -> int:
     for n in cfg.degrees:
         coeffs = table.coefficients(n)
         for k, c in enumerate(coeffs):
-            rows.append([str(n), str(k), _cell(c.real), _cell(c.imag)])
+            rows.append([n, k, c.real, c.imag])
     write_csv(os.path.join(out, "faber_coefficients.csv"), ["n", "k", "re", "im"], rows)
     report = {
         "capacity": cfg.geometry.capacity,
         "degrees": list(cfg.degrees),
         "leading_coefficient_error": [
-            _json_num(
-                abs(abs(table.coefficients(n)[n]) - cfg.geometry.capacity ** (-n))
-                * cfg.geometry.capacity**n
-            )
+            abs(abs(table.coefficients(n)[n]) - cfg.geometry.capacity ** (-n))
+            * cfg.geometry.capacity**n
             for n in cfg.degrees
         ],
         "level_curve_deviation_r1.5": [
-            _json_num(geo.faber_asymptotic_deviation(cfg.geometry, n, 1.5))
-            if cfg.geometry.is_curve
-            else None
+            geo.faber_asymptotic_deviation(cfg.geometry, n, 1.5) if cfg.geometry.is_curve else None
             for n in cfg.degrees
         ],
     }
@@ -476,8 +458,7 @@ def cmd_faber(cfg: ExperimentConfig) -> int:
 
 
 def cmd_szego(cfg: ExperimentConfig) -> int:
-    phi = _require_exterior(cfg)
-    w0 = 1.0 / np.conj(phi)
+    w0 = 1.0 / np.conj(geo.require_exterior(cfg.geometry, cfg.z0))
     report = szego.verify_circle_optimality(
         complex(w0), cfg.szego_trials, cfg.seed, m=cfg.szego_grid
     )
@@ -487,11 +468,7 @@ def cmd_szego(cfg: ExperimentConfig) -> int:
     os.makedirs(out, exist_ok=True)
     write_json(
         os.path.join(out, "szego_report.json"),
-        {
-            "w0": [w0.real, w0.imag],
-            "optimality": report.to_json_obj(),
-            "poisson_evaluation": evaluation.to_json_obj(),
-        },
+        {"w0": w0, "optimality": report, "poisson_evaluation": evaluation},
     )
     print(
         f"szego at w0={complex(w0):.6f}: poisson lambda {report.poisson_lambda!r}, "
@@ -509,7 +486,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         {
             "seed": cfg.seed,
             "all_passed": verify.all_passed(results),
-            "checks": [r.to_json_obj() for r in results],
+            "checks": results,
         },
     )
     for r in results:

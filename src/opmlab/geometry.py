@@ -32,6 +32,8 @@ _NEWTON_MAX_ITERS = 50
 _NEWTON_TOL = 1e-12
 _MAP_POST_TOL = 1e-10
 _INJECTIVITY_TOL = 1e-9
+_EXTERIOR_TOL = 1e-9
+_FABER_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,21 @@ def exterior_map(geom: CurveGeometry, z: complex) -> complex:
     """Phi(z): the conformal coordinate of z in the exterior of the unit disk."""
     w = phi_array(geom, np.asarray([z], dtype=complex))[0]
     return complex(w)
+
+
+def require_exterior(geom: CurveGeometry, z0: complex) -> complex:
+    """Phi(z0) for a point strictly exterior to the set, |Phi(z0)| > 1 + 1e-9.
+
+    Any other point raises InsideDomain.  This is the one exterior test:
+    `measure.balayage_point_mass` calls it, and so reach it the `opm`,
+    `convergence` and `balayage` commands, which start from the balayage.
+    """
+    w = exterior_map(geom, z0)
+    if abs(w) <= 1.0 + _EXTERIOR_TOL:
+        raise InsideDomain(
+            f"z0: must lie strictly exterior to the boundary, |Phi(z0)| = {abs(w):.12g}"
+        )
+    return w
 
 
 def phi_array(geom: CurveGeometry, z: np.ndarray) -> np.ndarray:
@@ -281,8 +298,8 @@ def faber_polynomials(geom: CurveGeometry, n_max: int) -> FaberTable:
     return FaberTable(capacity=b, rows=tuple(rows))
 
 
-def faber_asymptotic_deviation(geom: CurveGeometry, n: int, R: float, m: int = 256) -> float:
-    """max over m samples of Gamma_R (R >= 1) of |F_n(z)/Phi(z)^n - 1|.
+def faber_asymptotic_deviation(geom: CurveGeometry, n: int, R: float) -> float:
+    """max over 256 samples of Gamma_R (R >= 1) of |F_n(z)/Phi(z)^n - 1|.
 
     At z = Psi(w), w = R e^{i theta}, Phi(z) = w is exact.  The recurrence
     of `faber_polynomials` runs on G_k = F_k(z)/w^k, with (z - b0)/w formed
@@ -293,6 +310,7 @@ def faber_asymptotic_deviation(geom: CurveGeometry, n: int, R: float, m: int = 2
     if R < 1.0:
         raise DomainViolation(f"need R >= 1, got R={R}")
     b, tail = geom.lead, geom.tail
+    m = _FABER_SAMPLES
     winv = 1.0 / (R * np.exp(2j * np.pi * np.arange(m) / m))
     wpow = [winv ** (j + 1) for j in range(len(tail) + 1)]  # w^-(j+1)
     shift = b + sum(c * p for c, p in zip(tail, wpow[1:]))  # (z - b0) / w

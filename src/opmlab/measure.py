@@ -6,7 +6,8 @@ balayage of an exterior point mass is the harmonic measure seen from that
 point: on the conformal circle, the Poisson kernel at the reflected point
 1/conj(Phi(z0)), discretized by the trapezoidal rule on the uniform angular
 grid (on [0, pi] for the segment, the circle's image under cos), which is
-spectrally accurate for smooth densities.
+spectrally accurate for smooth densities.  Every CSV file the package
+writes goes through `write_csv`, with one rule for its cells.
 """
 
 from __future__ import annotations
@@ -156,25 +157,19 @@ def balayage_point_mass(geom: geo.CurveGeometry, z0: complex, m: int) -> Discret
     """Harmonic measure of the exterior point z0, discretized on the boundary grid.
 
     Weights are proportional to the Poisson kernel P at w0 = 1/conj(Phi(z0)):
-    on the uniform angular grid at the nodes Psi(e^{i t_j}) of a curve, and
-    as P(t) + P(-t) at t_j = pi j / (m - 1), the two end weights halved, at
-    the segment's Chebyshev nodes cos(t_j).
+    on the uniform angular grid t_j = 2 pi j / m of a curve, and as
+    P(t) + P(-t) at t_j = pi j / (m - 1), the two end weights halved, on the
+    segment.  The nodes are `discretize_boundary(geom, m)`, the images of
+    those angles.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    w = geo.exterior_map(geom, z0)
-    if abs(w) <= 1.0 + 1e-12:
-        raise InsideDomain(f"z0 must be strictly exterior, |Phi(z0)| = {abs(w):.6g}")
-    w0 = 1.0 / np.conj(w)
+    nodes = discretize_boundary(geom, m)
+    w0 = 1.0 / np.conj(geo.require_exterior(geom, z0))
     if geom.is_curve:
-        boundary = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
-        density = _poisson(boundary, w0)
-        nodes = geo.psi(geom, boundary)
+        density = _poisson(np.exp(1j * (2.0 * np.pi * np.arange(m) / m)), w0)
     else:
         boundary = np.exp(1j * (np.pi * np.arange(m) / max(m - 1, 1)))
         density = _poisson(boundary, w0) + _poisson(boundary.conj(), w0)
         density[[0, -1]] *= 0.5
-        nodes = discretize_boundary(geom, m)
     return DiscreteMeasure(nodes, density / density.sum())
 
 
@@ -191,19 +186,6 @@ def measure_from_boundary_density(geom: geo.CurveGeometry, values: np.ndarray) -
     return DiscreteMeasure(nodes, values / values.sum())
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips the binary64 value (<= 17 digits)."""
-    return repr(float(x))
-
-
-def _json_num(x):
-    """x as a float for a JSON report, or None (null) when it is missing or not finite."""
-    if x is None:
-        return None
-    x = float(x)
-    return x if np.isfinite(x) else None
-
-
 def _atomic_write_text(path, text: str) -> None:
     """Write `text` to a temp file beside `path`, then rename it over `path`."""
     tmp = os.fspath(path) + ".tmp"
@@ -212,13 +194,27 @@ def _atomic_write_text(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def save_csv(mu: DiscreteMeasure, path) -> None:
+def _cell(x) -> str:
+    """A CSV cell: text as is, an integer in decimal, any other number as the
+    shortest decimal that round-trips its binary64 value (<= 17 digits)."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write the header and rows (iterables of values), every cell by `_cell`, atomically."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["re_node", "im_node", "weight"])
-    for x, w in zip(mu.nodes, mu.weights):
-        writer.writerow([_fmt(x.real), _fmt(x.imag), _fmt(w)])
+    writer = csv.writer(buf)  # rows end in \r\n
+    writer.writerow(header)
+    writer.writerows([_cell(x) for x in row] for row in rows)
     _atomic_write_text(path, buf.getvalue())
+
+
+def save_csv(mu: DiscreteMeasure, path) -> None:
+    write_csv(path, ["re_node", "im_node", "weight"], zip(mu.nodes.real, mu.nodes.imag, mu.weights))
 
 
 def load_csv(path) -> DiscreteMeasure:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bergman, geometry as geo
 from .errors import CurveRequired, NotSzegoClass, TooCloseToBoundary
-from .measure import DiscreteMeasure, _json_num, _poisson
+from .measure import DiscreteMeasure, _poisson
 
 _DENSITY_FLOOR = 1e-12
 _RADIUS_LIMIT = 0.99
@@ -123,13 +123,6 @@ class SzegoEvaluation:
     szego_value: complex
     lambda_inf: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "point": [self.point.real, self.point.imag],
-            "szego_value": [_json_num(self.szego_value.real), _json_num(self.szego_value.imag)],
-            "lambda_inf": _json_num(self.lambda_inf),
-        }
-
 
 def szego_function(f: CircleDensity, z: complex) -> SzegoEvaluation:
     """D(f, z) and the Christoffel limit lambda_inf = (1 - |z|^2) |D|^2."""
@@ -152,16 +145,6 @@ class OptimalityReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_json_obj(self) -> dict:
-        return {
-            "w0": [self.w0.real, self.w0.imag],
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_lambda": _json_num(self.max_lambda),
-            "poisson_lambda": _json_num(self.poisson_lambda),
-            "violations": [{**v, "lambda": _json_num(v["lambda"])} for v in self.violations],
-        }
 
 
 def verify_circle_optimality(

@@ -16,6 +16,12 @@ import numpy as np
 
 from . import bergman, geometry as geo, measure as msr, szego
 
+_TRIALS = 50  # random measures of each christinv_random and tilde_monotonicity check
+_POISSON_GRID = 512
+_TRANSPORT_GRID = 2048
+_CIRCLE_PROBE = 30  # transport degrees on the circle and on ellipse(2,1)
+_ELLIPSE_PROBE = 40
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -25,16 +31,6 @@ class CheckResult:
     tolerance: float
     observed: float
     detail: str
-
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "asserted": bool(self.asserted),
-            "tolerance": float(self.tolerance),
-            "observed": msr._json_num(self.observed),
-            "detail": self.detail,
-        }
 
 
 def _asserted(name: str, errors, tolerance: float, detail: str) -> CheckResult:
@@ -54,12 +50,12 @@ def _random_circle_measure(rng: np.random.Generator, m: int):
     return msr.DiscreteMeasure(nodes, w / w.sum())
 
 
-def check_christinv_poisson(m: int = 512) -> CheckResult:
+def check_christinv_poisson() -> CheckResult:
     """lambda_n of the discretized Poisson measure: the reflection identity
     pins lambda_n(mu_P, z0) * |z0|^{2n} = lambda_n(mu_P, 1/conj(z0)) = 1."""
     geom = geo.unit_circle()
     z0 = 2.0 + 0.0j
-    mu = msr.balayage_point_mass(geom, z0, m)
+    mu = msr.balayage_point_mass(geom, z0, _POISSON_GRID)
     errors = []
     for n in range(1, 9):
         fac = bergman.factorize(mu, n)
@@ -72,10 +68,10 @@ def check_christinv_poisson(m: int = 512) -> CheckResult:
     )
 
 
-def check_christinv_random(seed: int, trials: int = 50) -> CheckResult:
+def check_christinv_random(seed: int) -> CheckResult:
     """|z|^{2n} lambda_n(mu, z) = lambda_n(mu, 1/conj(z)) on random circle measures."""
     errors = []
-    for i in range(trials):
+    for i in range(_TRIALS):
         rng = np.random.default_rng(seed + i)
         mu = _random_circle_measure(rng, 100)
         n = int(rng.integers(1, 16))
@@ -88,7 +84,7 @@ def check_christinv_random(seed: int, trials: int = 50) -> CheckResult:
         errors.append(abs(lhs - rhs) / rhs)
     return _asserted(
         "christinv_random", errors, 1e-8,
-        f"{trials} random circle measures, n <= 15, random z, relative error",
+        f"{_TRIALS} random circle measures, n <= 15, random z, relative error",
     )
 
 
@@ -134,11 +130,11 @@ def check_faber_decay() -> CheckResult:
     )
 
 
-def check_tilde_monotonicity_circle(seed: int, trials: int = 50) -> CheckResult:
+def check_tilde_monotonicity_circle(seed: int) -> CheckResult:
     """tilde-B_{N-1} <= tilde-B_N on the circle (reflection makes it exact)."""
     geom = geo.unit_circle()
     defects = []
-    for i in range(trials):
+    for i in range(_TRIALS):
         rng = np.random.default_rng(seed + 2000 + i)
         mu = _random_circle_measure(rng, 64)
         N = int(rng.integers(2, 21))
@@ -146,11 +142,11 @@ def check_tilde_monotonicity_circle(seed: int, trials: int = 50) -> CheckResult:
         defects.append(bergman.tilde_monotonicity_defect(geom, mu, N, 1, z))
     return _asserted(
         "tilde_monotonicity_circle", defects, 1e-10,
-        f"max defect tilde_B_(N-1)/tilde_B_N - 1 over {trials} random measures, N <= 20",
+        f"max defect tilde_B_(N-1)/tilde_B_N - 1 over {_TRIALS} random measures, N <= 20",
     )
 
 
-def check_tilde_monotonicity_interval(seed: int, trials: int = 50) -> CheckResult:
+def check_tilde_monotonicity_interval(seed: int) -> CheckResult:
     """Recorded only: the segment is expected to violate the circle monotonicity.
 
     Computed through `bergman._tilde_defect`, since tilde_monotonicity_defect
@@ -159,7 +155,7 @@ def check_tilde_monotonicity_interval(seed: int, trials: int = 50) -> CheckResul
     """
     geom = geo.interval()
     defects = []
-    for i in range(trials):
+    for i in range(_TRIALS):
         if i == 0:
             mcount = 32
             nodes = np.cos(np.pi * (2 * np.arange(mcount) + 1) / (2 * mcount))
@@ -181,34 +177,34 @@ def check_tilde_monotonicity_interval(seed: int, trials: int = 50) -> CheckResul
         tolerance=0.0,
         observed=worst,
         detail=(
-            f"recorded, not asserted: max defect {worst:.6f} over {trials} segment measures "
+            f"recorded, not asserted: max defect {worst:.6f} over {_TRIALS} segment measures "
             f"(deterministic witness defect {defects[0]:.6f}); positive values show the "
             "monotonicity genuinely fails off closed curves"
         ),
     )
 
 
-def check_transport_circle(m: int = 2048, n_probe: int = 30) -> CheckResult:
+def check_transport_circle() -> CheckResult:
     """Transport identity on the circle against the closed form 0.75 at z = 2."""
     geom = geo.unit_circle()
-    mu = msr.uniform_measure(msr.discretize_boundary(geom, m))
-    lhs, rhs = szego.transport_check(geom, mu, 2.0, n_probe)
+    mu = msr.uniform_measure(msr.discretize_boundary(geom, _TRANSPORT_GRID))
+    lhs, rhs = szego.transport_check(geom, mu, 2.0, _CIRCLE_PROBE)
     return _asserted(
         "transport_circle", [abs(lhs - 0.75), abs(rhs - 0.75)], 0.02,
-        f"arclength density, z=2, n_probe={n_probe}: lhs {lhs!r}, rhs {rhs!r}",
+        f"arclength density, z=2, n_probe={_CIRCLE_PROBE}: lhs {lhs!r}, rhs {rhs!r}",
     )
 
 
-def check_transport_ellipse(m: int = 2048, n_probe: int = 40) -> CheckResult:
+def check_transport_ellipse() -> CheckResult:
     """Transport identity on ellipse(2,1) with an arclength-proportional density."""
     geom = geo.ellipse(2.0, 1.0)
-    t = 2.0 * np.pi * np.arange(m) / m
+    t = 2.0 * np.pi * np.arange(_TRANSPORT_GRID) / _TRANSPORT_GRID
     density = np.abs(geo.psi_prime(geom, np.exp(1j * t)))
     mu = msr.measure_from_boundary_density(geom, density)
-    lhs, rhs = szego.transport_check(geom, mu, 3.0, n_probe)
+    lhs, rhs = szego.transport_check(geom, mu, 3.0, _ELLIPSE_PROBE)
     return _asserted(
         "transport_ellipse", [abs(lhs - rhs) / rhs], 0.05,
-        f"z=3, n_probe={n_probe}: lhs {lhs!r}, rhs {rhs!r}, relative difference",
+        f"z=3, n_probe={_ELLIPSE_PROBE}: lhs {lhs!r}, rhs {rhs!r}, relative difference",
     )
 
 

@@ -407,9 +407,34 @@ class TestSzegoCommand:
         assert rep["max_lambda"] is None
         assert rep["violations"] == [{"trial": 5, "kind": "exceeds_poisson", "lambda": None}]
 
-    def test_write_json_refuses_non_finite_numbers(self, tmp_path):
-        with pytest.raises(ValueError):
-            cli.write_json(str(tmp_path / "x.json"), {"x": float("nan")})
+    def test_write_json_writes_non_finite_numbers_as_null(self, tmp_path):
+        """NaN and +-inf, bare or inside a complex value or a dataclass, are written
+        as null; a value the mapping cannot read still raises."""
+        nan, inf = float("nan"), float("inf")
+        path = tmp_path / "x.json"
+        ev = szego.SzegoEvaluation(point=0.5j, szego_value=complex(1.0, nan), lambda_inf=-inf)
+        cli.write_json(str(path), {"x": [nan, inf, -inf], "z": complex(nan, 2.0), "ev": ev})
+        text = path.read_text()
+        assert not re.search(r"NaN|Infinity", text)
+        assert json.loads(text) == {
+            "x": [None, None, None],
+            "z": [None, 2.0],
+            "ev": {"point": [0.0, 0.5], "szego_value": [1.0, None], "lambda_inf": None},
+        }
+        with pytest.raises(TypeError):
+            cli.write_json(str(path), {"x": {1.0}})
+        assert json.loads(path.read_text())["z"] == [None, 2.0]  # the refused write left no trace
+
+    def test_json_maps_dataclasses_arrays_and_numpy_scalars(self):
+        result = verify.CheckResult("c", np.bool_(True), True, 1e-8, np.float64(0.25), "d")
+        assert cli._json(result) == {
+            "name": "c", "passed": True, "asserted": True,
+            "tolerance": 1e-8, "observed": 0.25, "detail": "d",
+        }
+        assert type(cli._json(result)["passed"]) is bool
+        mapped = cli._json((np.array([1, 2]), np.int64(3), np.complex128(1 - 2j), 4 + 0j))
+        assert mapped == [[1, 2], 3, [1.0, -2.0], [4.0, 0.0]]
+        assert [type(x) for x in mapped[0] + mapped[1:2]] == [int, int, int]
 
 
 class TestVerifyCommand:
@@ -478,6 +503,20 @@ class TestVerifyCommand:
                 assert run("verify", "--seed", "0", "--out", str(tmp_path / str(k))) == 1, target
             text = (tmp_path / str(k) / "verify_report.json").read_text()
             assert "NaN" not in text  # a non-finite observed is written as null
+
+
+@pytest.mark.parametrize("command", ["opm", "convergence", "balayage", "szego"])
+def test_every_command_draws_the_exterior_line_at_one_tolerance(command, tmp_path, capsys):
+    """On the circle |Phi(z0)| = z0: 1 + 5e-10 is refused as a config error
+    naming "exterior", 1 + 2e-9 passes the exterior test (the solve or the
+    Szego evaluation may still fail numerically there, exit 3)."""
+    argv = [command, "--geometry", "circle", "--degrees", "1", "--grid", "40",
+            "--szego-grid", "64", "--trials", "1", "--out", str(tmp_path / "x")]
+    assert run(*argv, "--z0", "1.0000000005") == 2
+    assert "exterior" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    assert run(*argv, "--z0", "1.000000002") != 2
+    assert "exterior" not in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):

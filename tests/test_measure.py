@@ -114,6 +114,15 @@ def test_balayage_moments_match_reflected_point():
 
 
 @pytest.mark.parametrize(
+    "g", [geo.unit_circle(), geo.ellipse(2.0, 1.0), geo.laurent_curve(1.0, 0.1 + 0.2j, (0.1 + 0.05j,))]
+)
+def test_balayage_lives_on_the_boundary_grid(g):
+    """balayage.csv and moment_discrepancy compare measures node by node."""
+    mu = msr.balayage_point_mass(g, 3.0 + 1.0j, 2000)
+    assert np.array_equal(mu.nodes, msr.discretize_boundary(g, 2000))
+
+
+@pytest.mark.parametrize(
     "z0, m",
     [(2.0, 2000), (1.01, 2000), (1j, 2000), (1 + 0.5j, 2000), (2.0, 64), (1j, 64), (1 + 0.5j, 64)],
 )
@@ -140,6 +149,9 @@ def test_balayage_requires_an_exterior_point():
         msr.balayage_point_mass(geo.unit_circle(), 0.5, 64)
     with pytest.raises(InsideDomain):
         msr.balayage_point_mass(geo.interval(), 0.5, 64)
+    with pytest.raises(InsideDomain, match="exterior"):  # the CLI's line, |Phi(z0)| > 1 + 1e-9
+        msr.balayage_point_mass(geo.unit_circle(), 1.0 + 5e-10, 64)
+    assert len(msr.balayage_point_mass(geo.unit_circle(), 1.0 + 2e-9, 64)) == 64
 
 
 def test_moment_discrepancy_zero_on_self():
@@ -186,15 +198,15 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     msr.save_csv(mu, p_csv)
     before = p_csv.read_bytes()
 
-    fmt, calls = msr._fmt, []
+    cell, calls = msr._cell, []
 
-    def fmt_failing_partway(x):
+    def cell_failing_partway(x):
         calls.append(x)
         if len(calls) > 30:
             raise OSError("disk full")
-        return fmt(x)
+        return cell(x)
 
-    monkeypatch.setattr(msr, "_fmt", fmt_failing_partway)
+    monkeypatch.setattr(msr, "_cell", cell_failing_partway)
     other = msr.uniform_measure(msr.discretize_boundary(geo.unit_circle(), 50))
     with pytest.raises(OSError):
         msr.save_csv(other, p_csv)

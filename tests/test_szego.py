@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opmlab import geometry as geo, measure as msr, szego
+from opmlab import cli, geometry as geo, measure as msr, szego
 from opmlab.errors import CurveRequired, NotSzegoClass, TooCloseToBoundary
 
 
@@ -123,7 +123,7 @@ def test_circle_optimality_report():
     assert rep.violations == []
     assert rep.poisson_lambda == pytest.approx(1.0, abs=1e-8)
     assert rep.max_lambda < rep.poisson_lambda
-    obj = rep.to_json_obj()
+    obj = cli._json(rep)
     assert obj["w0"] == [0.5, 0.0]
     assert obj["trials"] == 40 and obj["seed"] == 123
 
@@ -137,7 +137,7 @@ def test_circle_optimality_flags_equality_imposter():
     # a tampered report path: scaling another density to tie the optimum is impossible
     # without being the Poisson density itself, so random trials never tie
     rep2 = szego.verify_circle_optimality(0.5, trials=60, seed=7, m=m)
-    assert all(v["kind"] != "exceeds_poisson" for v in rep2.to_json_obj()["violations"])
+    assert all(v["kind"] != "exceeds_poisson" for v in cli._json(rep2)["violations"])
 
 
 def test_circle_optimality_rejects_bad_trial_sets():
